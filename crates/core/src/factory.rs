@@ -81,7 +81,7 @@ pub fn build_router(name: &str, mesh: &Mesh) -> Result<Box<dyn ObliviousRouter>,
         )?,
         "busch-torus" => require(
             equal_pow2 && mesh.topology() == Topology::Torus,
-            "an equal-side power-of-two torus (--torus true)",
+            "an equal-side power-of-two torus (--torus)",
         )?,
         "busch-padded" => require(mesh.topology() == Topology::Mesh, "a (non-torus) mesh")?,
         _ => {}

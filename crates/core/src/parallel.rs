@@ -49,8 +49,8 @@ pub fn route_all_seeded<R: ObliviousRouter + ?Sized>(
         .collect()
 }
 
-/// Routes every pair across `threads` OS threads (crossbeam scoped), with
-/// per-packet deterministic seeding.
+/// Routes every pair across `threads` scoped OS threads
+/// ([`std::thread::scope`]), with per-packet deterministic seeding.
 ///
 /// ```
 /// use oblivion_core::{route_all_parallel, route_all_seeded, Busch2D};
@@ -67,7 +67,7 @@ pub fn route_all_seeded<R: ObliviousRouter + ?Sized>(
 /// ```
 ///
 /// # Panics
-/// Panics if `threads == 0`.
+/// Panics if `threads == 0`, or if a worker thread panics.
 pub fn route_all_parallel<R: ObliviousRouter + Sync + ?Sized>(
     router: &R,
     pairs: &[(Coord, Coord)],
@@ -81,10 +81,10 @@ pub fn route_all_parallel<R: ObliviousRouter + Sync + ?Sized>(
     let mut out: Vec<Option<Path>> = vec![None; pairs.len()];
     // Static block partition: chunk c handles indices [c*chunk, (c+1)*chunk).
     let chunk = pairs.len().div_ceil(threads);
-    crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         for (c, out_chunk) in out.chunks_mut(chunk).enumerate() {
             let offset = c * chunk;
-            scope.spawn(move |_| {
+            scope.spawn(move || {
                 for (j, slot) in out_chunk.iter_mut().enumerate() {
                     let i = offset + j;
                     let (s, t) = &pairs[i];
@@ -93,8 +93,7 @@ pub fn route_all_parallel<R: ObliviousRouter + Sync + ?Sized>(
                 }
             });
         }
-    })
-    .expect("worker thread panicked");
+    });
     out.into_iter().map(Option::unwrap).collect()
 }
 

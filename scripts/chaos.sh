@@ -340,7 +340,7 @@ fi
 # Paced open-loop load split across both tenants, generous retries: the
 # client must ride out every disruption below without intervention.
 "${bin}" loadgen --mesh 16x16 --port "$mt_port" --tenant-mix a=0.5,b=0.5 \
-  --requests 600 --open-loop --rate 300 --concurrency 8 --retries 60 \
+  --requests 600 --rate 300 --concurrency 8 --retries 60 \
   --backoff-ms 5 --backoff-cap-ms 200 --timeout-ms 2000 --seed 78 \
   > "$mt_dir/loadgen.out" 2> "$mt_dir/loadgen.err" &
 mt_loadgen_pid=$!

@@ -69,6 +69,12 @@ timed "cargo doc (no deps, warnings denied)" \
 timed "cargo test (workspace minus serve)" \
   cargo test --workspace --exclude oblivion-serve --offline -q
 
+# The benchmark (benchmark/, a Cargo package outside the workspace with
+# its own lock file) carries unit tests of its statistics, comparison
+# and checks.
+timed "cargo test (benchmark package)" \
+  cargo test --release --offline --manifest-path benchmark/Cargo.toml
+
 # The serve crate's suites (soak, pipelining, differential) drive real
 # sockets against wall-clock deadlines, so they get the quarantine
 # wrapper: one logged retry, two consecutive failures still fail.
@@ -251,7 +257,7 @@ chaos_serve_gate() {
   # any reply is malformed, so hedging must absorb every injected stall
   # and reset within the retry budget.
   if ! "$bin" loadgen --mesh 16x16 --port "$port" --requests 200 \
-    --concurrency 8 --rate 250 --open-loop --hedge-after 12 \
+    --concurrency 8 --rate 250 --hedge-after 12 \
     --retries 8 --timeout-ms 4000 --seed 7 > "$tmp/loadgen.out" 2>&1; then
     echo "chaos-serve gate: hedged loadgen failed under injected chaos" >&2
     cat "$tmp/loadgen.out" >&2

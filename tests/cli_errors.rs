@@ -317,6 +317,23 @@ fn serve_rejects_bad_chaos_flags_cleanly() {
 }
 
 #[test]
+fn flags_outside_the_command_table_fail_cleanly() {
+    // A misspelled flag, a flag of another command, and a value after the
+    // bare `--torus` switch are all refused, never silently ignored.
+    for args in [
+        &["online", "--mesh", "8x8", "--steps", "20", "--thread", "4"][..],
+        &[
+            "path", "--mesh", "8x8", "--from", "1,1", "--to", "5,5", "--bogus", "1",
+        ],
+        &["heatmap", "--torus", "true"],
+        &["route", "--torus", "yes"],
+        &["decompose", "--threads", "2"],
+    ] {
+        assert_clean_failure(&oblivion(args), &args.join(" "));
+    }
+}
+
+#[test]
 fn loadgen_rejects_degenerate_knobs_cleanly() {
     for (flag, value) in [
         ("--port", "0"),
@@ -363,7 +380,7 @@ fn loadgen_rejects_bad_open_loop_and_hedge_flags_cleanly() {
             "loadgen {flag}: error should name the offending flag: {stderr}"
         );
     }
-    // --open-loop without --rate has no schedule to follow.
+    // --open-loop is not a flag (--rate alone selects open loop).
     let out = oblivion(&["loadgen", "--mesh", "8x8", "--port", "4555", "--open-loop"]);
     assert_clean_failure(&out, "loadgen --open-loop without --rate");
     assert!(
