@@ -43,7 +43,9 @@
 //!   a pure function of `--chaos-seed` in the `oblivion-faults` idiom.
 //!
 //! Dependency-free like the rest of the workspace: plain `std::net`
-//! blocking sockets, hand-rolled queue, no async runtime.
+//! sockets, a hand-rolled queue, and no async runtime — idle server
+//! threads park in `poll(2)` on their sockets and wake pipes (declared,
+//! with every `unsafe` block, in `oblivion-signal`) instead of sleeping.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

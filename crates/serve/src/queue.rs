@@ -3,23 +3,23 @@
 //!
 //! The acceptor *tries* to push; when the queue is at capacity the push
 //! fails immediately and the caller sheds the connection with a typed
-//! `OVERLOADED` response. Nothing ever blocks on a full queue, so memory
-//! under overload is bounded by `capacity` accepted sockets, and the
-//! accept loop keeps answering (with rejections) no matter how far
-//! offered load exceeds capacity.
+//! `OVERLOADED` response. Nothing ever blocks on the queue, in either
+//! direction: memory under overload is bounded by `capacity` accepted
+//! sockets, the accept loop keeps answering (with rejections) no matter
+//! how far offered load exceeds capacity, and an idle consumer parks on
+//! its own wake pipe (see `server`) rather than on the queue.
 
 use std::collections::VecDeque;
-use std::sync::{Condvar, Mutex};
-use std::time::Duration;
+use std::sync::Mutex;
 
-/// Result of a [`Bounded::pop_timeout`].
+/// Result of a [`Bounded::try_pop`].
 pub enum Pop<T> {
     /// An item was dequeued.
     Item(T),
     /// The queue is closed *and* drained; the worker should exit.
     Closed,
-    /// Nothing arrived within the timeout; poll again.
-    Timeout,
+    /// Nothing is queued right now.
+    Empty,
 }
 
 struct Inner<T> {
@@ -27,11 +27,9 @@ struct Inner<T> {
     closed: bool,
 }
 
-/// The bounded queue. `try_push` never blocks; `pop_timeout` blocks at
-/// most the given duration.
+/// The bounded queue. Neither `try_push` nor `try_pop` ever blocks.
 pub struct Bounded<T> {
     inner: Mutex<Inner<T>>,
-    not_empty: Condvar,
     cap: usize,
 }
 
@@ -44,7 +42,6 @@ impl<T> Bounded<T> {
                 q: VecDeque::with_capacity(cap),
                 closed: false,
             }),
-            not_empty: Condvar::new(),
             cap,
         }
     }
@@ -57,49 +54,20 @@ impl<T> Bounded<T> {
             return Err(item);
         }
         inner.q.push_back(item);
-        let depth = inner.q.len();
-        drop(inner);
-        self.not_empty.notify_one();
-        Ok(depth)
+        Ok(inner.q.len())
     }
 
-    /// Dequeues one item, waiting up to `timeout`. After [`close`], the
+    /// Dequeues one item when one is ready. After [`close`], the
     /// remaining items are still handed out; only an empty closed queue
     /// reports [`Pop::Closed`].
     ///
     /// [`close`]: Bounded::close
-    pub fn pop_timeout(&self, timeout: Duration) -> Pop<T> {
-        let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        loop {
-            if let Some(item) = inner.q.pop_front() {
-                return Pop::Item(item);
-            }
-            if inner.closed {
-                return Pop::Closed;
-            }
-            let (guard, res) = self
-                .not_empty
-                .wait_timeout(inner, timeout)
-                .unwrap_or_else(|e| e.into_inner());
-            inner = guard;
-            if res.timed_out() {
-                return match inner.q.pop_front() {
-                    Some(item) => Pop::Item(item),
-                    None if inner.closed => Pop::Closed,
-                    None => Pop::Timeout,
-                };
-            }
-        }
-    }
-
-    /// Non-blocking pop: an item when one is ready, [`Pop::Closed`] for
-    /// a drained closed queue, [`Pop::Timeout`] otherwise.
     pub fn try_pop(&self) -> Pop<T> {
         let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
         match inner.q.pop_front() {
             Some(item) => Pop::Item(item),
             None if inner.closed => Pop::Closed,
-            None => Pop::Timeout,
+            None => Pop::Empty,
         }
     }
 
@@ -107,7 +75,6 @@ impl<T> Bounded<T> {
     /// backlog is drained.
     pub fn close(&self) {
         self.inner.lock().unwrap_or_else(|e| e.into_inner()).closed = true;
-        self.not_empty.notify_all();
     }
 
     /// Current depth (racy, for gauges only).
@@ -141,27 +108,15 @@ mod tests {
         q.try_push(2).unwrap();
         q.close();
         assert_eq!(q.try_push(3), Err(3), "closed queue admits nothing");
-        assert!(matches!(
-            q.pop_timeout(Duration::from_millis(1)),
-            Pop::Item(1)
-        ));
-        assert!(matches!(
-            q.pop_timeout(Duration::from_millis(1)),
-            Pop::Item(2)
-        ));
-        assert!(matches!(
-            q.pop_timeout(Duration::from_millis(1)),
-            Pop::Closed
-        ));
+        assert!(matches!(q.try_pop(), Pop::Item(1)));
+        assert!(matches!(q.try_pop(), Pop::Item(2)));
+        assert!(matches!(q.try_pop(), Pop::Closed));
     }
 
     #[test]
-    fn pop_times_out_on_an_open_empty_queue() {
+    fn pop_on_an_open_empty_queue_reports_empty() {
         let q: Bounded<u32> = Bounded::new(1);
-        assert!(matches!(
-            q.pop_timeout(Duration::from_millis(5)),
-            Pop::Timeout
-        ));
+        assert!(matches!(q.try_pop(), Pop::Empty));
     }
 
     #[test]
@@ -172,10 +127,10 @@ mod tests {
             std::thread::spawn(move || {
                 let mut got = 0u32;
                 loop {
-                    match q.pop_timeout(Duration::from_millis(50)) {
+                    match q.try_pop() {
                         Pop::Item(_) => got += 1,
                         Pop::Closed => return got,
-                        Pop::Timeout => {}
+                        Pop::Empty => std::thread::yield_now(),
                     }
                 }
             })

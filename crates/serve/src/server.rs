@@ -18,15 +18,41 @@
 //!                    answer even at 10x overload
 //! ```
 //!
+//! Nothing on the request path sleeps to wait. Every idle thread parks
+//! in `poll(2)` (via [`oblivion_signal::poll`]) on exactly the fds whose
+//! readiness changes what it does next, and whoever changes that state
+//! wakes it:
+//!
+//! ```text
+//! thread     parks on                              woken by
+//! acceptor   listener, shutdown latch(es)          a client connect;
+//!                                                  request_shutdown / SIGTERM
+//! worker i   its Waker, every owned socket that    acceptor: after a push to
+//!            can still read; timeout = earliest    mailbox i (and worker i+1
+//!            slow-loris deadline                   too when i is busy or
+//!                                                  backed up), every worker
+//!                                                  on an overflow push and
+//!                                                  at drain; clients: bytes
+//! health     listener + shutdown latch(es), then   a prober; shutdown; the
+//!            listener + drained latch              last exiting worker
+//! flusher    drained latch, timeout = next flush   the last exiting worker
+//! ```
+//!
+//! The shutdown latch is per-[`Control`] ([`Control::request_shutdown`]
+//! sets it) plus, with `honor_process_signals`, the process-wide one the
+//! SIGTERM handler writes to ([`oblivion_signal::shutdown_fd`]). A latch
+//! stays readable once set, so a loop that has seen it stops polling it.
+//!
 //! Connections are keep-alive: a client may send many LF-framed `PATH`
 //! lines without waiting, and replies come back strictly in request
 //! order (IDs are echoed per line for correlation). A worker services
 //! its connections run-to-completion in bursts: it frames up to
 //! `batch_max` pending lines, routes all `PATH` queries in one
 //! [`route_batch`] call over a reused scratch buffer, and writes the
-//! whole burst of replies with a single syscall. The shared overflow
-//! queue exists only for bursts of new connections that outpace the
-//! round-robin mailboxes.
+//! whole burst of replies with a single syscall on the nonblocking
+//! socket (parking on `POLLOUT` only when the kernel buffer is full).
+//! The shared overflow queue exists only for bursts of new connections
+//! that outpace the round-robin mailboxes.
 //!
 //! Overload behavior is still the design center: mailboxes and the
 //! overflow queue are bounded, pushes never block, and every admitted
@@ -53,13 +79,15 @@ use crate::stats::{ChaosEvent, Counter, Phase, ServeStats, StatsSnapshot};
 use crate::wire::{self, ErrorKind, Framed, Request, MAX_REQUEST_LINE};
 use oblivion_core::{build_router, parse_mesh_spec, ObliviousRouter, PathQuery, RoutedPath};
 use oblivion_obs::Json;
+use oblivion_signal::{Latch, PollFd, Waker};
 use oblivion_sim::pool::run_crew;
 use std::collections::VecDeque;
 use std::io::{Read as _, Write as _};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::os::fd::{AsRawFd, RawFd};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 /// Tuning knobs for [`run`]. Validation of user-facing values (nonzero
@@ -148,7 +176,11 @@ impl Default for ServeConfig {
 #[derive(Default)]
 pub struct Control {
     shutdown: AtomicBool,
-    bound: OnceLock<SocketAddr>,
+    /// Created by [`run`]; fd-backed twins of `shutdown` and
+    /// [`Control::drained`] for the threads that park in `poll`.
+    latches: OnceLock<Latches>,
+    bound: Mutex<Option<SocketAddr>>,
+    bound_set: Condvar,
     health_bound: OnceLock<SocketAddr>,
     drain_until: OnceLock<Instant>,
     started: OnceLock<Instant>,
@@ -168,6 +200,9 @@ impl Control {
     /// Asks the server to stop accepting and drain.
     pub fn request_shutdown(&self) {
         self.shutdown.store(true, Ordering::SeqCst);
+        if let Some(l) = self.latches.get() {
+            l.shutdown.set();
+        }
     }
 
     fn shutdown_requested(&self, cfg: &ServeConfig) -> bool {
@@ -181,7 +216,12 @@ impl Control {
 
     /// The request listener's bound address, once bound.
     pub fn addr(&self) -> Option<SocketAddr> {
-        self.bound.get().copied()
+        *self.bound.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    fn set_addr(&self, addr: SocketAddr) {
+        *self.bound.lock().unwrap_or_else(|e| e.into_inner()) = Some(addr);
+        self.bound_set.notify_all();
     }
 
     /// The health listener's bound address, once bound.
@@ -189,19 +229,16 @@ impl Control {
         self.health_bound.get().copied()
     }
 
-    /// Polls for the bound address (for supervising threads that start
-    /// [`run`] in the background).
+    /// Waits up to `timeout` for the bound address (for supervising
+    /// threads that start [`run`] in the background); returns the
+    /// moment the listener is bound.
     pub fn wait_addr(&self, timeout: Duration) -> Option<SocketAddr> {
-        let end = Instant::now() + timeout;
-        loop {
-            if let Some(a) = self.addr() {
-                return Some(a);
-            }
-            if Instant::now() >= end {
-                return None;
-            }
-            std::thread::sleep(Duration::from_millis(1));
-        }
+        let bound = self.bound.lock().unwrap_or_else(|e| e.into_inner());
+        let (bound, _) = self
+            .bound_set
+            .wait_timeout_while(bound, timeout, |a| a.is_none())
+            .unwrap_or_else(|e| e.into_inner());
+        *bound
     }
 
     /// Live counters.
@@ -227,9 +264,13 @@ pub struct ServeSummary {
     pub addr: SocketAddr,
 }
 
-/// How often idle loops re-check flags. Short enough that shutdown and
-/// accept latency stay invisible, long enough to cost no CPU.
-const POLL: Duration = Duration::from_millis(2);
+/// Pause after a failed `accept` (EMFILE, an aborted handshake) before
+/// retrying; shutdown still ends it at once.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(2);
+
+/// Floor on how long a reply write may wait for a full send buffer to
+/// drain, even when the request's deadline is already (nearly) spent.
+const MIN_WRITE_WAIT: Duration = Duration::from_millis(10);
 
 /// Bytes read per nonblocking poll of a connection.
 const READ_CHUNK: usize = 4096;
@@ -242,6 +283,23 @@ const MAX_OWNED_CONNS: usize = 64;
 /// hand-off, not a buffer — sustained excess spills to the shared
 /// overflow queue whose capacity is the admission-control knob.
 const MAILBOX_CAP: usize = 2;
+
+/// The fd-backed events of one server run (see the module doc).
+struct Latches {
+    /// Set by [`Control::request_shutdown`].
+    shutdown: Latch,
+    /// Set once the drain is stamped and the last worker has exited.
+    drained: Latch,
+}
+
+/// A worker's hand-off point: its mailbox, the waker the acceptor pokes
+/// after pushing into it, and whether the worker is parked right now (a
+/// busy owner lets its next sibling steal).
+struct Lane {
+    mailbox: Bounded<Inbound>,
+    waker: Waker,
+    parked: AtomicBool,
+}
 
 /// One accepted connection waiting for a worker to adopt it.
 struct Inbound {
@@ -355,10 +413,22 @@ pub fn run_registry<'a>(
             ctl.stats.set_tenant_state_bytes(&id, bytes);
         }
     }
+    let fresh = Latches {
+        shutdown: Latch::new()?,
+        drained: Latch::new()?,
+    };
+    let latches = ctl.latches.get_or_init(move || fresh);
+    // A shutdown requested before the latch existed still sets it.
+    if ctl.shutdown.load(Ordering::SeqCst) {
+        latches.shutdown.set();
+    }
+    let mut shutdown_fds = vec![latches.shutdown.fd()];
+    if cfg.honor_process_signals {
+        shutdown_fds.push(oblivion_signal::shutdown_fd()?);
+    }
     let listener = TcpListener::bind((cfg.host.as_str(), cfg.port))?;
     listener.set_nonblocking(true)?;
     let addr = listener.local_addr()?;
-    let _ = ctl.bound.set(addr);
     let health_listener = match cfg.health_port {
         Some(p) => {
             let l = TcpListener::bind((cfg.host.as_str(), p))?;
@@ -383,9 +453,15 @@ pub fn run_registry<'a>(
         .as_ref()
         .map(|c| ChaosPlan::new(c.clone()))
         .filter(|p| !p.is_trivial());
-    let mailboxes: Vec<Bounded<Inbound>> = (0..cfg.threads.max(1))
-        .map(|_| Bounded::new(MAILBOX_CAP))
-        .collect();
+    let lanes = (0..cfg.threads.max(1))
+        .map(|_| {
+            Ok(Lane {
+                mailbox: Bounded::new(MAILBOX_CAP),
+                waker: Waker::new()?,
+                parked: AtomicBool::new(false),
+            })
+        })
+        .collect::<std::io::Result<Vec<Lane>>>()?;
     let overflow: Bounded<Inbound> = Bounded::new(cfg.queue_cap);
     ctl.live_workers.store(cfg.threads, Ordering::SeqCst);
     let has_health = health_listener.is_some();
@@ -393,6 +469,9 @@ pub fn run_registry<'a>(
     let listener = Mutex::new(Some(listener));
     let health_listener = Mutex::new(health_listener);
     let crew = 1 + cfg.threads + usize::from(has_flusher) + usize::from(has_health);
+    // Published last: a supervisor woken by `wait_addr` finds every fd
+    // of the run already in place.
+    ctl.set_addr(addr);
     run_crew(crew, |w| {
         if w == 0 {
             let listener = listener
@@ -400,36 +479,44 @@ pub fn run_registry<'a>(
                 .unwrap_or_else(|e| e.into_inner())
                 .take()
                 .expect("acceptor runs once"); // ci-allow-unwrap: single take by worker 0
-            accept_loop(&listener, &mailboxes, &overflow, cfg, ctl);
+            accept_loop(&listener, &lanes, &overflow, cfg, ctl, &shutdown_fds);
             // Shutdown: stop accepting (drop the listener), stamp the
             // drain deadline, and let the workers run their pipelines
             // down.
             let _ = ctl.drain_until.set(Instant::now() + cfg.drain);
             drop(listener);
-            for mb in &mailboxes {
-                mb.close();
+            for lane in &lanes {
+                lane.mailbox.close();
             }
             overflow.close();
+            for lane in &lanes {
+                lane.waker.wake();
+            }
+            if ctl.live_workers.load(Ordering::SeqCst) == 0 {
+                latches.drained.set(); // a worker-less server is drained at once
+            }
         } else if w <= cfg.threads {
             worker_loop(
                 registry,
                 w - 1,
-                &mailboxes,
+                &lanes,
                 &overflow,
                 cfg,
                 ctl,
                 chaos_plan.as_ref(),
             );
-            ctl.live_workers.fetch_sub(1, Ordering::SeqCst);
+            if ctl.live_workers.fetch_sub(1, Ordering::SeqCst) == 1 {
+                latches.drained.set();
+            }
         } else if has_flusher && w == cfg.threads + 1 {
-            flusher_loop(cfg, ctl);
+            flusher_loop(cfg, ctl, latches.drained.fd());
         } else {
             let listener = health_listener
                 .lock()
                 .unwrap_or_else(|e| e.into_inner())
                 .take()
                 .expect("health listener runs once"); // ci-allow-unwrap: single take by last worker
-            health_loop(&listener, registry, cfg, ctl);
+            health_loop(&listener, registry, cfg, ctl, &shutdown_fds, latches);
         }
     });
     // All workers joined: the backlog is settled and counters conserve.
@@ -451,12 +538,18 @@ pub fn run_registry<'a>(
 
 fn accept_loop(
     listener: &TcpListener,
-    mailboxes: &[Bounded<Inbound>],
+    lanes: &[Lane],
     overflow: &Bounded<Inbound>,
     cfg: &ServeConfig,
     ctl: &Control,
+    shutdown_fds: &[RawFd],
 ) {
     let mut rr = 0usize;
+    // Entry 0 is the listener; the rest are the shutdown latches.
+    let mut fds: Vec<PollFd> = std::iter::once(listener.as_raw_fd())
+        .chain(shutdown_fds.iter().copied())
+        .map(PollFd::readable)
+        .collect();
     loop {
         if ctl.shutdown_requested(cfg) {
             return;
@@ -476,17 +569,31 @@ fn accept_loop(
                     accepted_at,
                     accept_us: elapsed_us(accepted_at),
                 };
-                let target = &mailboxes[rr % mailboxes.len()];
+                let i = rr % lanes.len();
                 rr = rr.wrapping_add(1);
-                let spill = match target.try_push(inbound) {
-                    Ok(_) => {
+                let spill = match lanes[i].mailbox.try_push(inbound) {
+                    Ok(queued) => {
                         ctl.stats.enqueue_committed(depth);
+                        lanes[i].waker.wake();
+                        // The owner is behind — a backlog, or busy
+                        // (simulated work, a chaos pause) rather than
+                        // parked — so let the next worker steal it.
+                        if lanes.len() > 1
+                            && (queued >= 2 || !lanes[i].parked.load(Ordering::SeqCst))
+                        {
+                            lanes[(i + 1) % lanes.len()].waker.wake();
+                        }
                         continue;
                     }
                     Err(inbound) => inbound,
                 };
                 match overflow.try_push(spill) {
-                    Ok(_) => ctl.stats.enqueue_committed(depth),
+                    Ok(_) => {
+                        ctl.stats.enqueue_committed(depth);
+                        for lane in lanes {
+                            lane.waker.wake();
+                        }
+                    }
                     Err(inbound) => {
                         ctl.stats.enqueue_aborted();
                         // Admission control: every queue is full, so
@@ -507,13 +614,14 @@ fn accept_loop(
                 }
             }
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(POLL);
+                let _ = oblivion_signal::poll(&mut fds, None);
             }
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
             Err(_) => {
                 // Transient accept failure (EMFILE, aborted handshake):
-                // back off briefly; the listener itself stays valid.
-                std::thread::sleep(POLL);
+                // back off briefly — on the latches only, since the
+                // listener may stay readable; it remains valid.
+                let _ = oblivion_signal::poll(&mut fds[1..], Some(ACCEPT_BACKOFF));
             }
         }
     }
@@ -536,14 +644,16 @@ struct Scratch<'a> {
 fn worker_loop<'a>(
     registry: &'a Registry<'a>,
     me: usize,
-    mailboxes: &[Bounded<Inbound>],
+    lanes: &[Lane],
     overflow: &Bounded<Inbound>,
     cfg: &ServeConfig,
     ctl: &Control,
     chaos: Option<&ChaosPlan>,
 ) {
-    let mailbox = &mailboxes[me];
+    let lane = &lanes[me];
+    let mailbox = &lane.mailbox;
     let mut conns: Vec<ConnState> = Vec::new();
+    let mut fds: Vec<PollFd> = Vec::new();
     let mut mailbox_closed = false;
     let mut overflow_closed = false;
     let mut scratch = Scratch {
@@ -563,7 +673,7 @@ fn worker_loop<'a>(
                     mailbox_closed = true;
                     break;
                 }
-                Pop::Timeout => break,
+                Pop::Empty => break,
             }
         }
         while !overflow_closed && conns.len() < MAX_OWNED_CONNS {
@@ -573,20 +683,20 @@ fn worker_loop<'a>(
                     overflow_closed = true;
                     break;
                 }
-                Pop::Timeout => break,
+                Pop::Empty => break,
             }
         }
         // Steal from sibling mailboxes: the round-robin acceptor parks
         // connections behind a specific worker, and a worker mid-stall
         // (simulated work, an injected pause) would otherwise make its
-        // mailbox wait out the entire straggle while idle siblings spin.
-        // Closed siblings are their owner's business — only items are
-        // taken.
-        for (i, sib) in mailboxes.iter().enumerate() {
+        // mailbox wait out the entire straggle while idle siblings park
+        // (the acceptor wakes the next sibling of a busy owner). Closed
+        // siblings are their owner's business — only items are taken.
+        for (i, sib) in lanes.iter().enumerate() {
             if i == me || conns.len() >= MAX_OWNED_CONNS {
                 continue;
             }
-            if let Pop::Item(inbound) = sib.try_pop() {
+            if let Pop::Item(inbound) = sib.mailbox.try_pop() {
                 conns.push(adopt(inbound, ctl, chaos));
             }
         }
@@ -607,24 +717,35 @@ fn worker_loop<'a>(
             }
         }
         if !progress {
-            // Idle: block briefly on the mailbox so adoption doubles as
-            // the sleep. With live but quiet connections the wait stays
-            // short to keep per-line latency bounded.
-            let wait = if conns.is_empty() {
-                Duration::from_millis(5)
-            } else {
-                Duration::from_micros(500)
-            };
-            if mailbox_closed {
-                std::thread::sleep(wait.min(POLL));
-            } else {
-                match mailbox.pop_timeout(wait) {
-                    Pop::Item(inbound) => conns.push(adopt(inbound, ctl, chaos)),
-                    Pop::Closed => mailbox_closed = true,
-                    Pop::Timeout => {}
-                }
-            }
+            park(lane, &conns, &mut fds, cfg);
         }
+    }
+}
+
+/// Parks an idle worker in `poll` until its waker is poked (a hand-off,
+/// an overflow push, the drain), an owned connection that can still
+/// read has bytes or a hang-up, or the earliest slow-loris deadline
+/// passes. The waker is drained only after it fired and before the
+/// caller re-scans the queues, so a wake can never be lost.
+fn park(lane: &Lane, conns: &[ConnState], fds: &mut Vec<PollFd>, cfg: &ServeConfig) {
+    fds.clear();
+    fds.push(PollFd::readable(lane.waker.fd()));
+    let mut wake_at: Option<Instant> = None;
+    for conn in conns {
+        if !conn.eof && !conn.dead && conn.pending.len() < cfg.batch_max.max(1) {
+            fds.push(PollFd::readable(conn.stream.as_raw_fd()));
+        }
+        if let Some(since) = conn.partial_since {
+            let at = since + cfg.deadline;
+            wake_at = Some(wake_at.map_or(at, |w| w.min(at)));
+        }
+    }
+    let timeout = wake_at.map(|at| at.saturating_duration_since(Instant::now()));
+    lane.parked.store(true, Ordering::SeqCst);
+    let _ = oblivion_signal::poll(fds, timeout);
+    lane.parked.store(false, Ordering::SeqCst);
+    if fds[0].ready() {
+        lane.waker.drain();
     }
 }
 
@@ -732,10 +853,9 @@ fn service_conn<'a>(
             if Instant::now() >= since + cfg.deadline {
                 ctl.stats.admit(1);
                 ctl.stats.settle(Counter::DeadlineExceeded);
-                let _ = conn.stream.set_nonblocking(false);
-                let _ = wire::write_line(
+                let _ = write_nonblocking(
                     &conn.stream,
-                    &wire::format_err_line(ErrorKind::DeadlineExceeded, ""),
+                    wire::format_err_line(ErrorKind::DeadlineExceeded, "").as_bytes(),
                     Instant::now() + Duration::from_millis(100),
                 );
                 ctl.stats.conn_closed();
@@ -1012,7 +1132,7 @@ fn dispatch_burst<'a>(
     // waits it out. Lines it pushes past their deadline settle as
     // deadline-exceeded through the post-work sweep below.
     if !chaos_pause.is_zero() {
-        std::thread::sleep(chaos_pause);
+        std::thread::sleep(chaos_pause); // ci-allow-sleep: the injected worker pause is the stall
     }
     // Simulated service time: one sleep per burst, not per line — the
     // amortization that pipelined dispatch exists to buy. An injected
@@ -1023,7 +1143,8 @@ fn dispatch_burst<'a>(
     if let Some(latest) = latest_path_deadline {
         let service = cfg.work + chaos_stall;
         if !service.is_zero() {
-            std::thread::sleep(service.min(latest.saturating_duration_since(Instant::now())));
+            let service = service.min(latest.saturating_duration_since(Instant::now()));
+            std::thread::sleep(service); // ci-allow-sleep: simulated service time
         }
     }
     // Post-work expiry check, then batch-route the survivors grouped
@@ -1109,7 +1230,6 @@ fn dispatch_burst<'a>(
         }
     }
     let write_started = Instant::now();
-    let _ = conn.stream.set_nonblocking(false);
     let write_deadline = Instant::now() + cfg.deadline;
     let wrote = match chaos {
         // Injected slow write: the burst's reply goes out in two chunks
@@ -1122,17 +1242,17 @@ fn dispatch_burst<'a>(
             while !scratch.reply.is_char_boundary(mid) {
                 mid += 1;
             }
-            wire::write_line(&conn.stream, &scratch.reply[..mid], write_deadline).and_then(|()| {
-                std::thread::sleep(
-                    plan.write_stall()
-                        .min(write_deadline.saturating_duration_since(Instant::now())),
-                );
-                wire::write_line(&conn.stream, &scratch.reply[mid..], write_deadline)
+            let (head, tail) = scratch.reply.as_bytes().split_at(mid);
+            write_nonblocking(&conn.stream, head, write_deadline).and_then(|()| {
+                let stall = plan
+                    .write_stall()
+                    .min(write_deadline.saturating_duration_since(Instant::now()));
+                std::thread::sleep(stall); // ci-allow-sleep: the injected slow-write stall
+                write_nonblocking(&conn.stream, tail, write_deadline)
             })
         }
-        _ => wire::write_line(&conn.stream, &scratch.reply, write_deadline),
+        _ => write_nonblocking(&conn.stream, scratch.reply.as_bytes(), write_deadline),
     };
-    let _ = conn.stream.set_nonblocking(true);
     match wrote {
         Ok(()) => {
             conn.answered += scratch.slots.len() as u64;
@@ -1157,6 +1277,39 @@ fn dispatch_burst<'a>(
             conn.dead = true;
         }
     }
+}
+
+/// Writes all of `bytes` to a nonblocking socket. Usually that is one
+/// `write(2)`; only when the kernel send buffer is full does it park in
+/// `poll` for writability, each wait lasting until `deadline` (at least
+/// [`MIN_WRITE_WAIT`]) before giving up with `TimedOut`.
+fn write_nonblocking(
+    stream: &TcpStream,
+    mut bytes: &[u8],
+    deadline: Instant,
+) -> std::io::Result<()> {
+    while !bytes.is_empty() {
+        match (&mut &*stream).write(bytes) {
+            Ok(0) => return Err(std::io::ErrorKind::WriteZero.into()),
+            Ok(n) => bytes = &bytes[n..],
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
+                let give_up = deadline.max(Instant::now() + MIN_WRITE_WAIT);
+                let mut fds = [PollFd::writable(stream.as_raw_fd())];
+                loop {
+                    let left = give_up.saturating_duration_since(Instant::now());
+                    if left.is_zero() {
+                        return Err(std::io::ErrorKind::TimedOut.into());
+                    }
+                    if oblivion_signal::poll(&mut fds, Some(left))? > 0 {
+                        break;
+                    }
+                }
+            }
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(())
 }
 
 /// Settles every tenant-attributed slot of a burst into its tenant
@@ -1208,10 +1361,10 @@ fn salvage_id(line: &str) -> Option<String> {
 
 /// The background stats flusher: appends one `{"type":"serve_stats"}`
 /// JSONL line per interval to `stats_path` (only when something
-/// changed), plus a final line at drain. A crash therefore loses at
-/// most one interval of telemetry; everything before it is already on
-/// disk.
-fn flusher_loop(cfg: &ServeConfig, ctl: &Control) {
+/// changed), plus a final line the moment the drain completes
+/// (`drained_fd` is that latch). A crash therefore loses at most one
+/// interval of telemetry; everything before it is already on disk.
+fn flusher_loop(cfg: &ServeConfig, ctl: &Control, drained_fd: RawFd) {
     let (Some(every), Some(path)) = (cfg.stats_every, cfg.stats_path.as_ref()) else {
         return;
     };
@@ -1250,7 +1403,11 @@ fn flusher_loop(cfg: &ServeConfig, ctl: &Control) {
                 return;
             }
         }
-        std::thread::sleep(POLL.min(every));
+        let mut fds = [PollFd::readable(drained_fd)];
+        let _ = oblivion_signal::poll(
+            &mut fds,
+            Some(next_flush.saturating_duration_since(Instant::now())),
+        );
     }
 }
 
@@ -1309,13 +1466,21 @@ fn probe_reply(probe: &Request, cfg: &ServeConfig, ctl: &Control) -> String {
 /// stays scrapeable when the request port is shedding. The `ADMIN`
 /// verbs live here for the same reason — an operator must be able to
 /// add or retire a mesh while the request port is melting down.
+///
+/// Between probes it parks on the listener plus the one event that
+/// changes what it does next: the shutdown latches until shutdown, then
+/// the drained latch (a latch it has seen is never polled again, or the
+/// loop would spin).
 fn health_loop<'a>(
     listener: &TcpListener,
     registry: &'a Registry<'a>,
     cfg: &ServeConfig,
     ctl: &Control,
+    shutdown_fds: &[RawFd],
+    latches: &Latches,
 ) {
     let probe_budget = Duration::from_millis(250);
+    let mut fds: Vec<PollFd> = Vec::with_capacity(1 + shutdown_fds.len());
     loop {
         // Probes keep answering through the drain window (READY says
         // `ERR SHUTTING_DOWN`); the loop exits with the crew once the
@@ -1345,10 +1510,23 @@ fn health_loop<'a>(
                 };
                 let _ = wire::write_line(&stream, &reply, deadline);
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(POLL);
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => {
+                fds.clear();
+                fds.push(PollFd::readable(listener.as_raw_fd()));
+                if ctl.shutdown_requested(cfg) {
+                    fds.push(PollFd::readable(latches.drained.fd()));
+                } else {
+                    fds.extend(shutdown_fds.iter().copied().map(PollFd::readable));
+                }
+                if e.kind() == std::io::ErrorKind::WouldBlock {
+                    let _ = oblivion_signal::poll(&mut fds, None);
+                } else {
+                    // Transient accept failure: back off on the latch
+                    // alone, since the listener may stay readable.
+                    let _ = oblivion_signal::poll(&mut fds[1..], Some(ACCEPT_BACKOFF));
+                }
             }
-            Err(_) => std::thread::sleep(POLL),
         }
     }
 }

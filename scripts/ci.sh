@@ -328,6 +328,30 @@ unwrap_gate() {
 timed "unwrap/expect gate (workloads, faults, serve)" \
   unwrap_gate
 
+# The request server waits on readiness (poll + wake pipes), never on a
+# timer: any thread::sleep( in non-test code of server.rs needs a
+# `// ci-allow-sleep: why` note on the same line. Only the sleeps that
+# *are* the behavior carry one: the chaos worker pause, the simulated
+# service time, and the chaos slow-write stall.
+sleep_gate() {
+  awk '
+    /#\[cfg\(test\)\]/ { intest = 1 }
+    intest { next }
+    /thread::sleep\(/ && !/ci-allow-sleep: [^ ]/ {
+      printf "%s:%d: %s\n", FILENAME, FNR, $0
+      found = 1
+    }
+    END { exit found ? 1 : 0 }
+  ' crates/serve/src/server.rs || {
+    echo "unannotated thread::sleep( in crates/serve/src/server.rs: park on" \
+      "readiness instead, or add \`// ci-allow-sleep: <why>\`" >&2
+    return 1
+  }
+}
+
+timed "sleep gate (serve request path)" \
+  sleep_gate
+
 echo "ci: all checks passed"
 if [[ ${#retried_stages[@]} -gt 0 ]]; then
   echo "flaky-soak quarantine: ${#retried_stages[@]} stage(s) needed their retry:"
