@@ -82,7 +82,6 @@ fn run_policy(addr: &str, mesh: &Mesh, p: &Policy) -> LoadgenReport {
         backoff_cap: Duration::from_millis(20),
         timeout: p.timeout,
         seed: 0xE27,
-        open_loop: true,
         rate: RATE,
         hedge_after: p.hedge_after,
         ..LoadgenConfig::default()

@@ -75,7 +75,6 @@ fn tenant_load(
         backoff_cap: Duration::from_millis(20),
         timeout: Duration::from_secs(4),
         seed: 0xE28,
-        open_loop: true,
         rate,
         tenants: vec![(tenant.to_string(), 1.0)],
         ..LoadgenConfig::default()

@@ -5,16 +5,17 @@
 //! violation; never retried, and required to be zero across the kill -9
 //! chaos scenario).
 //!
-//! [`Client`] opens one connection per request — the conservative
-//! baseline. [`PipelinedConn`] holds a keep-alive connection and lets
-//! the caller write a whole burst of request lines before reading the
-//! replies back in order, which is what the pipelined load-generator
-//! modes are built on.
+//! [`Client`] opens one connection per request, for probes, scrapes,
+//! and one-off paths. [`PipelinedConn`] holds a connection and lets the
+//! caller write a whole burst of request lines before reading the
+//! replies back in order, which is what the load generator's one
+//! driver is built on.
 
 use crate::wire::{self, ErrorKind, Response, MAX_RESPONSE_LINE};
 use oblivion_mesh::{Coord, Mesh};
 use std::io::ErrorKind as IoKind;
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
+use std::os::fd::{AsRawFd as _, RawFd};
 use std::time::{Duration, Instant};
 
 /// Why a request failed.
@@ -28,17 +29,6 @@ pub enum ClientError {
     /// The server answered with bytes that are not a protocol line —
     /// the one bucket that must stay empty.
     Malformed(String),
-}
-
-impl ClientError {
-    /// Whether retrying the identical request can help.
-    pub fn retryable(&self) -> bool {
-        match self {
-            ClientError::Transport(_) => true,
-            ClientError::Server(kind, _) => kind.retryable(),
-            ClientError::Malformed(_) => false,
-        }
-    }
 }
 
 /// A resolved server address plus the per-attempt socket budget.
@@ -75,31 +65,11 @@ impl Client {
     /// request ID (if any) split out of the reply.
     fn exchange(&self, request_line: &str) -> Result<(Response, Option<String>), ClientError> {
         let deadline = Instant::now() + self.timeout;
-        let stream =
-            TcpStream::connect_timeout(&self.addr, self.timeout).map_err(ClientError::Transport)?;
-        let _ = stream.set_nodelay(true);
-        wire::write_line(&stream, request_line, deadline).map_err(ClientError::Transport)?;
-        let line = match wire::read_line(&stream, MAX_RESPONSE_LINE, deadline) {
-            Ok(line) => line,
-            Err(wire::LineError::Deadline) => {
-                return Err(ClientError::Transport(std::io::Error::new(
-                    IoKind::TimedOut,
-                    "response deadline expired",
-                )))
-            }
-            Err(wire::LineError::Eof(_)) => {
-                // A dead or dying server truncates mid-line; that is a
-                // transport failure, not a protocol violation.
-                return Err(ClientError::Transport(std::io::Error::new(
-                    IoKind::UnexpectedEof,
-                    "connection closed before a full response line",
-                )));
-            }
-            Err(wire::LineError::TooLong) => {
-                return Err(ClientError::Malformed("response line too long".into()))
-            }
-            Err(wire::LineError::Io(e)) => return Err(ClientError::Transport(e)),
-        };
+        let mut conn =
+            PipelinedConn::connect(self.addr, self.timeout).map_err(ClientError::Transport)?;
+        conn.send_burst(request_line, deadline)
+            .map_err(ClientError::Transport)?;
+        let line = conn.recv_line(deadline)?;
         wire::parse_response_with_id(&line).map_err(ClientError::Malformed)
     }
 
@@ -129,33 +99,12 @@ impl Client {
         dst: &Coord,
         id: Option<&str>,
     ) -> Result<Vec<Coord>, ClientError> {
-        self.request_path_on(mesh, None, seed, src, dst, id)
-    }
-
-    /// [`Client::request_path_with_id`] addressed to a named mesh on a
-    /// multi-tenant server: the request line is prefixed `MESH <id> `
-    /// so it routes on that tenant's mesh (and is charged to its
-    /// quota). `mesh_id: None` sends the bare single-tenant line,
-    /// byte-identical to [`Client::request_path_with_id`].
-    pub fn request_path_on(
-        &self,
-        mesh: &Mesh,
-        mesh_id: Option<&str>,
-        seed: u64,
-        src: &Coord,
-        dst: &Coord,
-        id: Option<&str>,
-    ) -> Result<Vec<Coord>, ClientError> {
-        let prefix = match mesh_id {
-            Some(mid) => format!("MESH {mid} "),
-            None => String::new(),
-        };
         let id_field = match id {
             Some(id) => format!(" id={id}"),
             None => String::new(),
         };
         let line = format!(
-            "{prefix}PATH {seed} {} {}{id_field}\n",
+            "PATH {seed} {} {}{id_field}\n",
             wire::format_coord(src, mesh.dim()),
             wire::format_coord(dst, mesh.dim())
         );
@@ -290,6 +239,11 @@ pub struct PipelinedConn {
 }
 
 impl PipelinedConn {
+    /// The socket's descriptor, for waiting on readiness with `poll`.
+    pub(crate) fn fd(&self) -> RawFd {
+        self.stream.as_raw_fd()
+    }
+
     /// Connects with `timeout` as the connect budget.
     pub fn connect(addr: SocketAddr, timeout: Duration) -> std::io::Result<PipelinedConn> {
         let stream = TcpStream::connect_timeout(&addr, timeout)?;

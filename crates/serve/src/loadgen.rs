@@ -1,5 +1,5 @@
-//! The companion load generator: closed-loop concurrent clients with
-//! retry + capped exponential backoff, and a latency/throughput report.
+//! The companion load generator: concurrent clients with retry +
+//! capped exponential backoff, and a latency/throughput report.
 //!
 //! Every request is attempted up to `retries + 1` times; transport
 //! errors and retryable wire errors (`OVERLOADED`, `DEADLINE_EXCEEDED`,
@@ -10,27 +10,33 @@
 //! responses are never retried: the former is a client bug, the latter
 //! a server bug, and hiding either behind a retry would defeat the gate.
 //!
-//! Three transports, same accounting:
-//! - default: one connection per request (the conservative baseline);
-//! - `keep_alive`: one persistent connection per thread, one request in
-//!   flight at a time;
-//! - `pipeline > 1` (implies keep-alive): up to `pipeline` request
-//!   lines written as a single burst before any reply is read; replies
-//!   are consumed in order and every echoed ID is verified, so a
-//!   desynchronized stream lands in the `malformed` bucket and fails
-//!   the run. A transport error mid-window counts every unanswered
-//!   request as `transport`, reconnects, and re-enqueues what the retry
-//!   budget allows.
+//! **One driver.** Every client thread runs the same loop over a
+//! [`PipelinedConn`]. Each iteration builds a *window* of at most
+//! `pipeline` requests — the thread's own retries first, then fresh
+//! ids — writes it as one burst, and reads the replies back in order
+//! with every echoed ID verified, so a desynchronized stream lands in
+//! the `malformed` bucket and fails the run. The connection is kept
+//! when `keep_alive || pipeline > 1` and dropped after every window
+//! otherwise, so the default transport — one connection per request —
+//! is simply depth 1 without keep-alive. A transport error mid-window
+//! counts every unanswered request as `transport`, drops the
+//! connection, and re-enqueues what the retry budget allows; the thread
+//! then backs off once, by the delay of the lowest requeued attempt.
 //!
-//! **Open loop vs closed loop.** The transports above are closed-loop:
+//! **Open loop vs closed loop.** With `rate == 0` the loop is closed:
 //! a slow reply delays the *next* request, so the measured tail hides
 //! exactly the stalls it should expose (coordinated omission). With
-//! `open_loop` the generator schedules arrival `i` at `start + i/rate`
-//! and charges every microsecond from the *scheduled* arrival — queue
-//! time behind a straggler, retries, hedges — to that request's
-//! latency, so p99/p999 are the tails a real open client population
-//! would see. When every worker is busy the launch happens late and is
-//! counted in `late_launches`; the wait is still charged to latency.
+//! `rate > 0` request `i` is scheduled at `start + i/rate`, and a
+//! window takes only the fresh ids whose arrival has passed; when none
+//! has, the thread waits for the first one. Pacing works the same on
+//! fresh, kept, and pipelined connections. A request that joins a
+//! window after its scheduled arrival counts in `late_launches`.
+//!
+//! **Latency.** One definition on every transport: from the request's
+//! first launch (closed loop) or its scheduled arrival (open loop) to
+//! its validated reply, so queueing behind a straggler, failed
+//! attempts, backoff, and hedges are all charged to it. In open loop
+//! p99/p999 are the tails a real open client population would see.
 //!
 //! **Multi-tenant mix.** With a non-empty `tenants` list each request
 //! is deterministically assigned a mesh id by weight (a pure function
@@ -42,17 +48,20 @@
 //! empty list sends bare lines, byte-identical to the single-tenant
 //! generator.
 //!
-//! **Hedged requests.** With `hedge_after`, an attempt that has been
-//! quiet past the stall threshold fires a *duplicate* attempt on a
-//! second connection (a distinct trace ID, `<id>h`). The first full
-//! reply wins; the loser's connection is dropped unread and counted in
-//! `hedge_wasted` — server-side its line settles as an io error (or a
-//! completion whose bytes land in a closed socket), so the server's
-//! conservation law balances on every scrape despite the duplicates.
+//! **Hedged requests.** With `hedge_after` (depth-1 windows on fresh
+//! connections only), an attempt that has been quiet past the stall
+//! threshold fires a *duplicate* attempt on a second connection (a
+//! distinct trace ID, `<id>h`) and waits on both sockets at once. The
+//! first full reply wins; the loser's connection is dropped unread and
+//! counted in `hedge_wasted` — server-side its line settles as an io
+//! error (or a completion whose bytes land in a closed socket), so the
+//! server's conservation law balances on every scrape despite the
+//! duplicates.
 
-use crate::client::{validate_path_payload, Client, ClientError, PipelinedConn};
+use crate::client::{validate_path_payload, ClientError, PipelinedConn};
 use crate::wire::{self, ErrorKind, Response};
 use oblivion_mesh::{Coord, Mesh};
+use oblivion_signal::PollFd;
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
 use std::collections::VecDeque;
@@ -72,8 +81,8 @@ pub struct LoadgenConfig {
     pub mesh: Mesh,
     /// Total requests to complete.
     pub requests: usize,
-    /// Concurrent client threads (closed loop: each thread has at most
-    /// one request in flight).
+    /// Concurrent client threads (each has at most one window in
+    /// flight).
     pub concurrency: usize,
     /// Retries per request after the first attempt.
     pub retries: u32,
@@ -90,16 +99,15 @@ pub struct LoadgenConfig {
     /// Request lines in flight per connection before any reply is read
     /// (`>= 1`; values above 1 imply keep-alive).
     pub pipeline: usize,
-    /// Open-loop mode: launch request `i` at `start + i/rate` no matter
-    /// how slow earlier requests are, and measure latency from the
-    /// *scheduled* arrival (coordinated-omission-corrected tails).
-    pub open_loop: bool,
-    /// Target arrival rate in requests/second (open-loop mode only;
-    /// must be positive there).
+    /// Open-loop arrival rate in requests/second: when positive,
+    /// request `i` launches at `start + i/rate` no matter how slow
+    /// earlier requests are, and its latency is measured from that
+    /// scheduled arrival (coordinated-omission-corrected tails). `0`
+    /// runs closed loop.
     pub rate: f64,
     /// Hedging policy: fire a duplicate attempt on a second connection
-    /// once the primary has been quiet this long. Incompatible with the
-    /// keep-alive/pipelined transports.
+    /// once the primary has been quiet this long. Applies only without
+    /// keep-alive (depth-1 windows on fresh connections).
     pub hedge_after: Option<HedgeAfter>,
     /// Weighted tenant mix: `(mesh id, weight)` pairs. Empty means no
     /// `MESH` prefix (the single-tenant wire); one entry pins every
@@ -133,7 +141,6 @@ impl Default for LoadgenConfig {
             seed: 42,
             keep_alive: false,
             pipeline: 1,
-            open_loop: false,
             rate: 0.0,
             hedge_after: None,
             tenants: Vec::new(),
@@ -177,7 +184,8 @@ pub struct LoadgenReport {
     /// its own ledger, so both sides stay conserved).
     pub hedge_wasted: u64,
     /// Open-loop launches that started after their scheduled arrival
-    /// (all workers were busy); the wait is charged to latency.
+    /// (every window of the thread was busy); the wait is charged to
+    /// latency.
     pub late_launches: u64,
     /// Per-success latency samples in microseconds, sorted ascending.
     pub latencies_us: Vec<u64>,
@@ -205,14 +213,20 @@ pub struct TenantLoad {
     pub latencies_us: Vec<u64>,
 }
 
+/// The `q` quantile (0..=1) of ascending latency samples, in ms (0 when
+/// there are none).
+fn quantile_ms(sorted_us: &[u64], q: f64) -> f64 {
+    if sorted_us.is_empty() {
+        return 0.0;
+    }
+    let idx = ((sorted_us.len() - 1) as f64 * q).round() as usize;
+    sorted_us[idx] as f64 / 1e3
+}
+
 impl TenantLoad {
     /// The `q` quantile (0..=1) of this tenant's success latencies, ms.
     pub fn latency_ms(&self, q: f64) -> f64 {
-        if self.latencies_us.is_empty() {
-            return 0.0;
-        }
-        let idx = ((self.latencies_us.len() - 1) as f64 * q).round() as usize;
-        self.latencies_us[idx] as f64 / 1e3
+        quantile_ms(&self.latencies_us, q)
     }
 
     fn merge(&mut self, other: TenantLoad) {
@@ -226,11 +240,7 @@ impl TenantLoad {
 impl LoadgenReport {
     /// The `q` quantile (0..=1) of the success latencies, in ms.
     pub fn latency_ms(&self, q: f64) -> f64 {
-        if self.latencies_us.is_empty() {
-            return 0.0;
-        }
-        let idx = ((self.latencies_us.len() - 1) as f64 * q).round() as usize;
-        self.latencies_us[idx] as f64 / 1e3
+        quantile_ms(&self.latencies_us, q)
     }
 
     /// Successful requests per second.
@@ -379,22 +389,25 @@ fn backoff_delay(cfg: &LoadgenConfig, attempt: u32) -> Duration {
     exp.min(cfg.backoff_cap)
 }
 
-/// One not-yet-answered request in a pipelined window: its global id,
-/// retry attempt, and the deterministic request triple.
+/// One request of a window: its global id, retry attempt, the instant
+/// its latency is measured from (first launch or scheduled arrival; it
+/// survives retries), and the deterministic request triple.
 struct Pending {
     id: usize,
     attempt: u32,
+    origin: Instant,
     seed: u64,
     src: Coord,
     dst: Coord,
 }
 
 impl Pending {
-    fn of(cfg: &LoadgenConfig, id: usize, attempt: u32) -> Pending {
+    fn new(cfg: &LoadgenConfig, id: usize, origin: Instant) -> Pending {
         let (seed, src, dst) = request_of(&cfg.mesh, cfg.seed, id as u64);
         Pending {
             id,
-            attempt,
+            attempt: 0,
+            origin,
             seed,
             src,
             dst,
@@ -406,232 +419,10 @@ impl Pending {
     }
 }
 
-/// The per-thread loop for the keep-alive/pipelined transports. Windows
-/// of up to `cfg.pipeline` requests are written as one burst; replies
-/// are read back in order with their ID echoes verified.
-fn pipelined_worker(
-    cfg: &LoadgenConfig,
-    addr: SocketAddr,
-    next: &AtomicUsize,
-    local: &mut LoadgenReport,
-) {
-    let window_cap = cfg.pipeline.max(1);
-    let mut todo: VecDeque<Pending> = VecDeque::new();
-    let mut conn: Option<PipelinedConn> = None;
-    loop {
-        // Assemble a window: local retries first, then fresh ids.
-        let mut window: Vec<Pending> = Vec::with_capacity(window_cap);
-        while window.len() < window_cap {
-            if let Some(p) = todo.pop_front() {
-                window.push(p);
-                continue;
-            }
-            let id = next.fetch_add(1, Ordering::Relaxed);
-            if id >= cfg.requests {
-                break;
-            }
-            window.push(Pending::of(cfg, id, 0));
-        }
-        if window.is_empty() {
-            return;
-        }
-        // A transport failure anywhere voids the whole unanswered tail:
-        // count each as observed, re-enqueue what the budget allows.
-        let mut requeue_min_attempt: Option<u32> = None;
-        fn transport_fail(
-            cfg: &LoadgenConfig,
-            p: Pending,
-            local: &mut LoadgenReport,
-            todo: &mut VecDeque<Pending>,
-            requeue_min_attempt: &mut Option<u32>,
-        ) {
-            local.transport += 1;
-            if p.attempt < cfg.retries {
-                local.retries += 1;
-                *requeue_min_attempt =
-                    Some(requeue_min_attempt.map_or(p.attempt, |a| a.min(p.attempt)));
-                todo.push_back(Pending::of(cfg, p.id, p.attempt + 1));
-            } else {
-                local.failed += 1;
-                if let Some(t) = local.tenant_mut(tenant_of(cfg, p.id as u64)) {
-                    t.failed += 1;
-                }
-            }
-        }
-        // Connect (or reuse the kept-alive connection).
-        if conn.is_none() {
-            match PipelinedConn::connect(addr, cfg.timeout) {
-                Ok(c) => conn = Some(c),
-                Err(_) => {
-                    for p in window {
-                        transport_fail(cfg, p, local, &mut todo, &mut requeue_min_attempt);
-                    }
-                    if let Some(a) = requeue_min_attempt {
-                        std::thread::sleep(backoff_delay(cfg, a));
-                    }
-                    continue;
-                }
-            }
-        }
-        // One write for the whole burst (each line carries its tenant's
-        // `MESH` prefix when a mix is configured).
-        let mut burst = String::new();
-        for p in &window {
-            burst.push_str(&request_line(cfg, p, &p.trace_id()));
-        }
-        let t0 = Instant::now();
-        let deadline = t0 + cfg.timeout;
-        let send_ok = match conn.as_mut() {
-            Some(c) => c.send_burst(&burst, deadline).is_ok(),
-            None => false,
-        };
-        if !send_ok {
-            conn = None;
-            for p in window {
-                transport_fail(cfg, p, local, &mut todo, &mut requeue_min_attempt);
-            }
-            if let Some(a) = requeue_min_attempt {
-                std::thread::sleep(backoff_delay(cfg, a));
-            }
-            continue;
-        }
-        // Read the replies in request order.
-        let mut dead = false;
-        for p in window {
-            let tenant = tenant_of(cfg, p.id as u64);
-            if dead {
-                transport_fail(cfg, p, local, &mut todo, &mut requeue_min_attempt);
-                continue;
-            }
-            let line = match conn.as_mut() {
-                Some(c) => c.recv_line(deadline),
-                None => unreachable!("connection verified above"), // ci-allow-unwrap: guarded by send_ok
-            };
-            let line = match line {
-                Ok(line) => line,
-                Err(ClientError::Transport(_)) => {
-                    dead = true;
-                    conn = None;
-                    transport_fail(cfg, p, local, &mut todo, &mut requeue_min_attempt);
-                    continue;
-                }
-                Err(e) => {
-                    // Malformed framing: a server bug; never retried,
-                    // and the stream cannot be trusted afterwards.
-                    eprintln!("loadgen: malformed reply: {e:?}");
-                    local.malformed += 1;
-                    local.failed += 1;
-                    if let Some(t) = local.tenant_mut(tenant) {
-                        t.failed += 1;
-                    }
-                    dead = true;
-                    conn = None;
-                    continue;
-                }
-            };
-            let want = p.trace_id();
-            match wire::parse_response_with_id(&line) {
-                Err(why) => {
-                    eprintln!("loadgen: malformed response: {why}");
-                    local.malformed += 1;
-                    local.failed += 1;
-                    if let Some(t) = local.tenant_mut(tenant) {
-                        t.failed += 1;
-                    }
-                    dead = true;
-                    conn = None;
-                }
-                Ok((Response::Ok(payload), echoed)) => {
-                    if echoed.as_deref() != Some(want.as_str()) {
-                        // A wrong or missing echo on OK means the
-                        // pipeline desynchronized — fatal for the run.
-                        eprintln!("loadgen: request id not echoed: sent `{want}`, got {echoed:?}");
-                        local.malformed += 1;
-                        local.failed += 1;
-                        if let Some(t) = local.tenant_mut(tenant) {
-                            t.failed += 1;
-                        }
-                        dead = true;
-                        conn = None;
-                    } else {
-                        match validate_path_payload(&cfg.mesh, &payload, &p.src, &p.dst) {
-                            Ok(_) => {
-                                let us = t0.elapsed().as_micros().min(u128::from(u64::MAX)) as u64;
-                                local.ok += 1;
-                                local.latencies_us.push(us);
-                                if let Some(t) = local.tenant_mut(tenant) {
-                                    t.ok += 1;
-                                    t.latencies_us.push(us);
-                                }
-                            }
-                            Err(why) => {
-                                eprintln!("loadgen: malformed path: {why}");
-                                local.malformed += 1;
-                                local.failed += 1;
-                                if let Some(t) = local.tenant_mut(tenant) {
-                                    t.failed += 1;
-                                }
-                            }
-                        }
-                    }
-                }
-                Ok((Response::Err(kind, _detail), echoed)) => {
-                    // Per-line errors echo the ID; connection-level
-                    // rejections (admission shed) legitimately carry
-                    // none. An ID that *contradicts* the request means
-                    // desync.
-                    if let Some(got) = &echoed {
-                        if got != &want {
-                            eprintln!("loadgen: request id mangled: sent `{want}`, got `{got}`");
-                            local.malformed += 1;
-                            local.failed += 1;
-                            if let Some(t) = local.tenant_mut(tenant) {
-                                t.failed += 1;
-                            }
-                            dead = true;
-                            conn = None;
-                            continue;
-                        }
-                    }
-                    match kind {
-                        ErrorKind::Overloaded => {
-                            local.overloaded += 1;
-                            if let Some(t) = local.tenant_mut(tenant) {
-                                t.overloaded += 1;
-                            }
-                        }
-                        ErrorKind::DeadlineExceeded => local.deadline += 1,
-                        ErrorKind::ShuttingDown => local.shutting_down += 1,
-                        ErrorKind::BadRequest => local.bad_request += 1,
-                        ErrorKind::UnknownMesh => local.unknown_mesh += 1,
-                        ErrorKind::MeshRetired => local.mesh_retired += 1,
-                    }
-                    if kind.retryable() && p.attempt < cfg.retries {
-                        local.retries += 1;
-                        requeue_min_attempt =
-                            Some(requeue_min_attempt.map_or(p.attempt, |a| a.min(p.attempt)));
-                        todo.push_back(Pending::of(cfg, p.id, p.attempt + 1));
-                    } else {
-                        local.failed += 1;
-                        if let Some(t) = local.tenant_mut(tenant) {
-                            t.failed += 1;
-                        }
-                    }
-                }
-            }
-        }
-        if let Some(a) = requeue_min_attempt {
-            std::thread::sleep(backoff_delay(cfg, a));
-        }
-    }
-}
-
 /// Completed requests a worker must observe before a `p99` hedge arms.
 const HEDGE_WARMUP: usize = 20;
 /// Recompute the cached p99 hedge threshold every this many successes.
 const HEDGE_REFRESH: usize = 16;
-/// Granularity of the two-connection poll while a hedge is in flight.
-const HEDGE_POLL: Duration = Duration::from_millis(1);
 
 /// Resolves the stall threshold for the next attempt. `p99` mode keeps
 /// a per-worker cache — `(samples when computed, threshold)` — and
@@ -663,46 +454,61 @@ fn hedge_threshold(
     }
 }
 
-/// Classifies one full reply line for request `p` answered under trace
-/// id `want_id`. Returns `Ok(())` on a validated path, `Err(retryable)`
-/// otherwise; the caller owns the `ok`/`failed`/latency accounting.
+/// How one attempt ended, as [`settle_reply`] classifies it.
+#[derive(Debug, Clone, Copy)]
+enum Settled {
+    /// A validated path.
+    Ok,
+    /// A typed wire error; the stream is still in step.
+    Refused { retryable: bool },
+    /// A transport failure (retryable) or a protocol violation (not);
+    /// either way the connection can no longer be trusted.
+    Broken { retryable: bool },
+}
+
+/// The one reply classifier: what `reply` — the read answering request
+/// `p` under trace id `want_id` — says about the attempt. It books the
+/// observation counters (`transport`, `malformed`, one per wire error
+/// kind); the caller owns the `ok`/`failed`/latency accounting.
 fn settle_reply(
     cfg: &LoadgenConfig,
     p: &Pending,
     want_id: &str,
-    line: &str,
+    reply: Result<String, ClientError>,
     local: &mut LoadgenReport,
-) -> Result<(), bool> {
-    match wire::parse_response_with_id(line) {
-        Err(why) => {
-            eprintln!("loadgen: malformed response: {why}");
-            local.malformed += 1;
-            Err(false)
+) -> Settled {
+    let mut malformed = |why: String| {
+        eprintln!("loadgen: {why}");
+        local.malformed += 1;
+        Settled::Broken { retryable: false }
+    };
+    let line = match reply {
+        Ok(line) => line,
+        Err(ClientError::Transport(_)) => {
+            local.transport += 1;
+            return Settled::Broken { retryable: true };
         }
+        Err(e) => return malformed(format!("malformed reply: {e:?}")),
+    };
+    match wire::parse_response_with_id(&line) {
+        Err(why) => malformed(format!("malformed response: {why}")),
         Ok((Response::Ok(payload), echoed)) => {
             if echoed.as_deref() != Some(want_id) {
-                eprintln!("loadgen: request id not echoed: sent `{want_id}`, got {echoed:?}");
-                local.malformed += 1;
-                return Err(false);
+                return malformed(format!(
+                    "request id not echoed: sent `{want_id}`, got {echoed:?}"
+                ));
             }
             match validate_path_payload(&cfg.mesh, &payload, &p.src, &p.dst) {
-                Ok(_) => Ok(()),
-                Err(why) => {
-                    eprintln!("loadgen: malformed path: {why}");
-                    local.malformed += 1;
-                    Err(false)
-                }
+                Ok(_) => Settled::Ok,
+                Err(why) => malformed(format!("malformed path: {why}")),
             }
         }
         Ok((Response::Err(kind, _detail), echoed)) => {
-            // Connection-level rejections may carry no ID, but one that
-            // contradicts the request means the stream desynchronized.
-            if let Some(got) = &echoed {
-                if got != want_id {
-                    eprintln!("loadgen: request id mangled: sent `{want_id}`, got `{got}`");
-                    local.malformed += 1;
-                    return Err(false);
-                }
+            // Connection-level rejections (admission shed) may carry no
+            // ID, but one that contradicts the request means the stream
+            // desynchronized.
+            if let Some(got) = echoed.filter(|got| got != want_id) {
+                return malformed(format!("request id mangled: sent `{want_id}`, got `{got}`"));
             }
             match kind {
                 ErrorKind::Overloaded => {
@@ -717,8 +523,50 @@ fn settle_reply(
                 ErrorKind::UnknownMesh => local.unknown_mesh += 1,
                 ErrorKind::MeshRetired => local.mesh_retired += 1,
             }
-            Err(kind.retryable())
+            Settled::Refused {
+                retryable: kind.retryable(),
+            }
         }
+    }
+}
+
+/// Books a settled attempt of `p`: a success records its latency from
+/// `p.origin`; a failure is requeued on `todo` while the retry budget
+/// lasts, or counted failed. Returns the attempt a requeue backs off
+/// from.
+fn requeue_or_fail(
+    cfg: &LoadgenConfig,
+    mut p: Pending,
+    settled: Settled,
+    local: &mut LoadgenReport,
+    todo: &mut VecDeque<Pending>,
+) -> Option<u32> {
+    let tenant = tenant_of(cfg, p.id as u64);
+    let retryable = match settled {
+        Settled::Ok => {
+            let us = p.origin.elapsed().as_micros().min(u128::from(u64::MAX)) as u64;
+            local.ok += 1;
+            local.latencies_us.push(us);
+            if let Some(t) = local.tenant_mut(tenant) {
+                t.ok += 1;
+                t.latencies_us.push(us);
+            }
+            return None;
+        }
+        Settled::Refused { retryable } | Settled::Broken { retryable } => retryable,
+    };
+    if retryable && p.attempt < cfg.retries {
+        local.retries += 1;
+        let attempt = p.attempt;
+        p.attempt += 1;
+        todo.push_back(p);
+        Some(attempt)
+    } else {
+        local.failed += 1;
+        if let Some(t) = local.tenant_mut(tenant) {
+            t.failed += 1;
+        }
+        None
     }
 }
 
@@ -736,374 +584,222 @@ fn request_line(cfg: &LoadgenConfig, p: &Pending, id: &str) -> String {
     )
 }
 
-/// One possibly-hedged attempt: send on a fresh primary connection,
-/// wait alone until the stall threshold, then fire the duplicate on a
-/// second connection and poll both — first full reply wins, the loser
+fn transport_error(kind: IoKind, why: &'static str) -> ClientError {
+    ClientError::Transport(std::io::Error::new(kind, why))
+}
+
+/// The read step of a hedged window (depth 1 on a fresh connection,
+/// its line sent at `sent`): wait on the primary alone until the stall
+/// threshold `after`, then fire the duplicate on a second connection
+/// (trace id `<id>h`, so server traces tell the pair apart) and wait on
+/// both sockets with one `poll` — the first full reply wins, the loser
 /// is dropped unread and counted as `hedge_wasted`. The race itself is
 /// bounded: if *neither* copy answers within the race budget, both drew
 /// stragglers and waiting longer is throwing good time after bad — the
 /// pair is abandoned (wasted + transport) and the attempt retried
-/// fresh. The budget starts at one more threshold and doubles with
-/// `attempt` (escalating patience): early attempts abandon near 2x the
+/// fresh. The budget starts at one more threshold and doubles with the
+/// attempt (escalating patience): early attempts abandon near 2x the
 /// threshold, which is where the tail cut comes from, while late
 /// attempts wait out even a saturated server so retries are guaranteed
-/// to converge instead of storming. Returns `Ok(())` on a validated
-/// answer, `Err(retryable)` otherwise.
-fn hedged_attempt(
+/// to converge instead of storming. Returns the trace id the reply must
+/// echo, and the reply.
+fn race(
     cfg: &LoadgenConfig,
     addr: SocketAddr,
+    primary: &mut PipelinedConn,
     p: &Pending,
-    hedge_after: Option<Duration>,
-    attempt: u32,
+    after: Duration,
+    sent: Instant,
     local: &mut LoadgenReport,
-) -> Result<(), bool> {
-    let t0 = Instant::now();
-    let overall = t0 + cfg.timeout;
+) -> (String, Result<String, ClientError>) {
+    let overall = sent + cfg.timeout;
     let primary_id = p.trace_id();
-    let mut primary = match PipelinedConn::connect(addr, cfg.timeout) {
-        Ok(c) => c,
-        Err(_) => {
-            local.transport += 1;
-            return Err(true);
-        }
-    };
-    if primary
-        .send_burst(&request_line(cfg, p, &primary_id), overall)
-        .is_err()
-    {
-        local.transport += 1;
-        return Err(true);
+    match primary.recv_line((sent + after).min(overall)) {
+        // Quiet past the threshold with budget left: hedge below.
+        Err(ClientError::Transport(e))
+            if e.kind() == IoKind::TimedOut && Instant::now() < overall => {}
+        reply => return (primary_id, reply),
     }
-    // Phase 1: the primary alone, up to the hedge threshold (or the
-    // whole budget when hedging is off / not yet armed).
-    let first_deadline = match hedge_after {
-        Some(h) => (t0 + h).min(overall),
-        None => overall,
-    };
-    match primary.recv_line(first_deadline) {
-        Ok(line) => return settle_reply(cfg, p, &primary_id, &line, local),
-        Err(ClientError::Transport(e)) if e.kind() == IoKind::TimedOut => {
-            if hedge_after.is_none() || Instant::now() >= overall {
-                local.transport += 1;
-                return Err(true);
-            }
-            // Quiet past the threshold with budget left: hedge below.
-        }
-        Err(ClientError::Transport(_)) => {
-            local.transport += 1;
-            return Err(true);
-        }
-        Err(e) => {
-            eprintln!("loadgen: malformed reply: {e:?}");
-            local.malformed += 1;
-            return Err(false);
-        }
-    }
-    // Phase 2: fire the duplicate (trace id `<id>h` so server traces
-    // tell the pair apart) and poll both connections until someone
-    // produces a full reply or the race budget — one more threshold —
-    // runs out.
     local.hedge_launched += 1;
     let hedge_id = format!("{primary_id}h");
-    let mut primary = Some(primary);
-    let mut hedge = {
-        let budget = overall
-            .saturating_duration_since(Instant::now())
-            .max(Duration::from_millis(1));
-        match PipelinedConn::connect(addr, budget) {
-            Ok(mut c) => {
-                if c.send_burst(&request_line(cfg, p, &hedge_id), overall)
-                    .is_ok()
-                {
-                    Some(c)
-                } else {
-                    None
-                }
-            }
-            Err(_) => None,
-        }
-    };
-    let race_deadline = match hedge_after {
-        Some(h) => (Instant::now() + h.saturating_mul(1u32 << attempt.min(8))).min(overall),
-        None => overall,
-    };
+    let budget = overall
+        .saturating_duration_since(Instant::now())
+        .max(Duration::from_millis(1));
+    let mut hedge = PipelinedConn::connect(addr, budget).ok().and_then(|mut c| {
+        let sent = c.send_burst(&request_line(cfg, p, &hedge_id), overall);
+        sent.ok().map(|()| c)
+    });
+    let race_deadline =
+        (Instant::now() + after.saturating_mul(1u32 << p.attempt.min(8))).min(overall);
+    let ids = [primary_id, hedge_id];
+    let mut legs = [Some(primary), hedge.as_mut()];
     loop {
-        if Instant::now() >= race_deadline {
-            // Neither copy answered inside the race budget: both drew
-            // stragglers. The duplicate was cancelled unanswered and
-            // the attempt is handed back as retryable.
-            if hedge.is_some() {
-                local.hedge_wasted += 1;
-            }
-            local.transport += 1;
-            return Err(true);
-        }
-        if let Some(c) = primary.as_mut() {
-            match c.recv_line((Instant::now() + HEDGE_POLL).min(race_deadline)) {
-                Ok(line) => {
-                    if hedge.is_some() {
-                        local.hedge_wasted += 1;
-                    }
-                    return settle_reply(cfg, p, &primary_id, &line, local);
-                }
-                Err(ClientError::Transport(e)) if e.kind() == IoKind::TimedOut => {}
-                Err(ClientError::Transport(_)) => primary = None,
-                Err(e) => {
-                    eprintln!("loadgen: malformed reply: {e:?}");
-                    local.malformed += 1;
-                    if hedge.is_some() {
-                        local.hedge_wasted += 1;
-                    }
-                    return Err(false);
-                }
-            }
-        }
-        if let Some(c) = hedge.as_mut() {
-            match c.recv_line((Instant::now() + HEDGE_POLL).min(race_deadline)) {
-                Ok(line) => {
-                    local.hedge_won += 1;
-                    if primary.is_some() {
-                        local.hedge_wasted += 1;
-                    }
-                    return settle_reply(cfg, p, &hedge_id, &line, local);
-                }
-                Err(ClientError::Transport(e)) if e.kind() == IoKind::TimedOut => {}
-                Err(ClientError::Transport(_)) => hedge = None,
-                Err(e) => {
-                    eprintln!("loadgen: malformed reply: {e:?}");
-                    local.malformed += 1;
-                    if primary.is_some() {
-                        local.hedge_wasted += 1;
-                    }
-                    return Err(false);
-                }
-            }
-        }
-        if primary.is_none() && hedge.is_none() {
+        if legs.iter().all(Option::is_none) {
             // Both connections died; no cancellation happened, so
             // nothing is wasted — just a transport failure to retry.
-            local.transport += 1;
-            return Err(true);
+            let lost = transport_error(IoKind::ConnectionAborted, "both legs closed");
+            return (ids[0].clone(), Err(lost));
+        }
+        let left = race_deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            // Neither copy answered inside the race budget: the
+            // duplicate is cancelled unanswered and the attempt handed
+            // back as retryable.
+            if legs[1].is_some() {
+                local.hedge_wasted += 1;
+            }
+            let expired = transport_error(IoKind::TimedOut, "hedge race expired");
+            return (ids[0].clone(), Err(expired));
+        }
+        // A dead leg polls as fd -1, which poll(2) ignores.
+        let mut fds = [0, 1].map(|i| {
+            let fd = legs[i].as_ref().map_or(-1, |c| c.fd());
+            PollFd::readable(fd)
+        });
+        let _ = oblivion_signal::poll(&mut fds, Some(left));
+        for i in 0..2 {
+            let Some(conn) = legs[i].as_mut().filter(|_| fds[i].ready()) else {
+                continue;
+            };
+            // A reply is one write, so a readable socket holds a whole
+            // line (or EOF); the race deadline bounds a straggling tail.
+            match conn.recv_line(race_deadline) {
+                Err(ClientError::Transport(_)) => legs[i] = None,
+                reply => {
+                    if i == 1 && reply.is_ok() {
+                        local.hedge_won += 1;
+                    }
+                    if legs[1 - i].is_some() {
+                        local.hedge_wasted += 1;
+                    }
+                    return (ids[i].clone(), reply);
+                }
+            }
         }
     }
 }
 
-/// The per-thread loop for the open-loop and/or hedged transports: one
-/// logical request at a time on fresh connections (the hedge needs an
-/// independent second connection anyway). In open-loop mode the launch
-/// waits for the scheduled arrival and latency is measured from it —
-/// including any late-launch wait, retries, and hedge time.
-fn paced_worker(
+/// The one per-thread driver for every transport: builds windows of at
+/// most `cfg.pipeline` requests (local retries first, then fresh ids;
+/// in open loop only the fresh ids already due), writes each as one
+/// burst on the kept or a fresh connection, reads the replies in order
+/// — through [`race`] when the window is hedged — and backs off once
+/// per window that requeued anything.
+fn worker(
     cfg: &LoadgenConfig,
     addr: SocketAddr,
     next: &AtomicUsize,
     start: Instant,
     local: &mut LoadgenReport,
 ) {
+    let cap = cfg.pipeline.max(1);
+    let keep = cfg.keep_alive || cap > 1;
+    let mut todo: VecDeque<Pending> = VecDeque::new();
+    // A fresh id claimed before its scheduled arrival (open loop only).
+    let mut held: Option<usize> = None;
+    let mut conn: Option<PipelinedConn> = None;
     let mut p99_cache: (usize, Option<Duration>) = (0, None);
     loop {
-        let id = next.fetch_add(1, Ordering::Relaxed);
-        if id >= cfg.requests {
+        let mut window: Vec<Pending> = Vec::with_capacity(cap);
+        while window.len() < cap {
+            if let Some(p) = todo.pop_front() {
+                window.push(p);
+                continue;
+            }
+            let id = held
+                .take()
+                .unwrap_or_else(|| next.fetch_add(1, Ordering::Relaxed));
+            if id >= cfg.requests {
+                break;
+            }
+            let mut origin = Instant::now();
+            if cfg.rate > 0.0 {
+                let due = start + Duration::from_secs_f64(id as f64 / cfg.rate);
+                if due > origin {
+                    if !window.is_empty() {
+                        held = Some(id);
+                        break;
+                    }
+                    std::thread::sleep(due - origin); // ci-allow-sleep: open-loop pacing
+                } else if origin > due {
+                    local.late_launches += 1;
+                }
+                origin = due;
+            }
+            window.push(Pending::new(cfg, id, origin));
+        }
+        if window.is_empty() {
             return;
         }
-        let sched = if cfg.open_loop {
-            let sched = start + Duration::from_secs_f64(id as f64 / cfg.rate.max(1e-9));
-            let now = Instant::now();
-            if now < sched {
-                std::thread::sleep(sched - now);
-            } else if now > sched {
-                local.late_launches += 1;
-            }
-            sched
+        let hedge = if keep {
+            None
         } else {
-            Instant::now()
+            hedge_threshold(cfg, local, &mut p99_cache)
         };
-        let mut attempt = 0u32;
-        loop {
-            let p = Pending::of(cfg, id, attempt);
-            let threshold = hedge_threshold(cfg, local, &mut p99_cache);
-            match hedged_attempt(cfg, addr, &p, threshold, attempt, local) {
-                Ok(()) => {
-                    let us = Instant::now()
-                        .saturating_duration_since(sched)
-                        .as_micros()
-                        .min(u128::from(u64::MAX)) as u64;
-                    local.ok += 1;
-                    local.latencies_us.push(us);
-                    if let Some(t) = local.tenant_mut(tenant_of(cfg, id as u64)) {
-                        t.ok += 1;
-                        t.latencies_us.push(us);
-                    }
-                    break;
-                }
-                Err(retryable) if retryable && attempt < cfg.retries => {
-                    local.retries += 1;
-                    std::thread::sleep(backoff_delay(cfg, attempt));
-                    attempt += 1;
-                }
-                Err(_) => {
-                    local.failed += 1;
-                    if let Some(t) = local.tenant_mut(tenant_of(cfg, id as u64)) {
-                        t.failed += 1;
-                    }
-                    break;
-                }
+        let sent = Instant::now();
+        let deadline = sent + cfg.timeout;
+        if conn.is_none() {
+            conn = PipelinedConn::connect(addr, cfg.timeout).ok();
+        }
+        // One write for the whole burst (each line carries its tenant's
+        // `MESH` prefix when a mix is configured).
+        let burst: String = window
+            .iter()
+            .map(|p| request_line(cfg, p, &p.trace_id()))
+            .collect();
+        if conn
+            .as_mut()
+            .is_some_and(|c| c.send_burst(&burst, deadline).is_err())
+        {
+            conn = None;
+        }
+        let mut backoff: Option<u32> = None;
+        for p in window {
+            let (want, reply) = match (conn.as_mut(), hedge) {
+                (None, _) => (
+                    p.trace_id(),
+                    Err(transport_error(IoKind::NotConnected, "no connection")),
+                ),
+                (Some(c), Some(after)) => race(cfg, addr, c, &p, after, sent, local),
+                (Some(c), None) => (p.trace_id(), c.recv_line(deadline)),
+            };
+            let settled = settle_reply(cfg, &p, &want, reply, local);
+            if matches!(settled, Settled::Broken { .. }) {
+                conn = None;
             }
+            if let Some(a) = requeue_or_fail(cfg, p, settled, local, &mut todo) {
+                backoff = Some(backoff.map_or(a, |b| b.min(a)));
+            }
+        }
+        if !keep {
+            conn = None;
+        }
+        if let Some(a) = backoff {
+            std::thread::sleep(backoff_delay(cfg, a)); // ci-allow-sleep: retry backoff
         }
     }
 }
 
-/// Runs the load generation and aggregates the report. Closed-loop by
-/// default; `open_loop` and/or `hedge_after` select the paced
-/// per-request transport.
+/// Runs the load generation on `cfg.concurrency` `worker` threads
+/// and aggregates the report.
 pub fn run_loadgen(cfg: &LoadgenConfig) -> LoadgenReport {
     let started = Instant::now();
-    let next: AtomicUsize = AtomicUsize::new(0);
-    let merged: Mutex<LoadgenReport> = Mutex::new(LoadgenReport::default());
-    if cfg.open_loop || cfg.hedge_after.is_some() {
-        let addr = match cfg.addr.to_socket_addrs().ok().and_then(|mut a| a.next()) {
-            Some(a) => a,
-            None => {
-                eprintln!("loadgen: cannot resolve {}", cfg.addr);
-                return LoadgenReport {
-                    failed: cfg.requests as u64,
-                    transport: cfg.requests as u64,
-                    elapsed: started.elapsed(),
-                    ..LoadgenReport::default()
-                };
-            }
+    let Some(addr) = cfg.addr.to_socket_addrs().ok().and_then(|mut a| a.next()) else {
+        // Unresolvable address: every request is a transport failure;
+        // report rather than panic.
+        eprintln!("loadgen: cannot resolve {}", cfg.addr);
+        return LoadgenReport {
+            failed: cfg.requests as u64,
+            transport: cfg.requests as u64,
+            elapsed: started.elapsed(),
+            ..LoadgenReport::default()
         };
-        oblivion_sim::pool::run_crew(cfg.concurrency.max(1), |_w| {
-            let mut local = LoadgenReport::default();
-            paced_worker(cfg, addr, &next, started, &mut local);
-            let mut m = merged.lock().unwrap_or_else(|e| e.into_inner());
-            m.merge(local);
-        });
-        let mut report = merged.into_inner().unwrap_or_else(|e| e.into_inner());
-        report.latencies_us.sort_unstable();
-        for t in report.tenants.values_mut() {
-            t.latencies_us.sort_unstable();
-        }
-        report.elapsed = started.elapsed();
-        return report;
-    }
-    if cfg.keep_alive || cfg.pipeline > 1 {
-        let addr = match cfg.addr.to_socket_addrs().ok().and_then(|mut a| a.next()) {
-            Some(a) => a,
-            None => {
-                eprintln!("loadgen: cannot resolve {}", cfg.addr);
-                return LoadgenReport {
-                    failed: cfg.requests as u64,
-                    transport: cfg.requests as u64,
-                    elapsed: started.elapsed(),
-                    ..LoadgenReport::default()
-                };
-            }
-        };
-        oblivion_sim::pool::run_crew(cfg.concurrency.max(1), |_w| {
-            let mut local = LoadgenReport::default();
-            pipelined_worker(cfg, addr, &next, &mut local);
-            let mut m = merged.lock().unwrap_or_else(|e| e.into_inner());
-            m.merge(local);
-        });
-        let mut report = merged.into_inner().unwrap_or_else(|e| e.into_inner());
-        report.latencies_us.sort_unstable();
-        for t in report.tenants.values_mut() {
-            t.latencies_us.sort_unstable();
-        }
-        report.elapsed = started.elapsed();
-        return report;
-    }
-    let client = match Client::new(&cfg.addr, cfg.timeout) {
-        Ok(c) => c,
-        Err(e) => {
-            // Unresolvable address: every request is a transport
-            // failure; report rather than panic.
-            eprintln!("loadgen: cannot resolve {}: {e}", cfg.addr);
-            return LoadgenReport {
-                failed: cfg.requests as u64,
-                transport: cfg.requests as u64,
-                elapsed: started.elapsed(),
-                ..LoadgenReport::default()
-            };
-        }
     };
+    let next = AtomicUsize::new(0);
+    let merged = Mutex::new(LoadgenReport::default());
     oblivion_sim::pool::run_crew(cfg.concurrency.max(1), |_w| {
         let mut local = LoadgenReport::default();
-        loop {
-            let id = next.fetch_add(1, Ordering::Relaxed);
-            if id >= cfg.requests {
-                break;
-            }
-            let (path_seed, src, dst) = request_of(&cfg.mesh, cfg.seed, id as u64);
-            let tenant = tenant_of(cfg, id as u64);
-            let mut attempt = 0u32;
-            loop {
-                // Every attempt carries a distinct trace ID; the client
-                // verifies the byte-for-byte echo, so a mangled ID
-                // lands in the malformed bucket and fails the run.
-                let trace_id = format!("lg-{id}.{attempt}");
-                let t0 = Instant::now();
-                match client.request_path_on(
-                    &cfg.mesh,
-                    tenant,
-                    path_seed,
-                    &src,
-                    &dst,
-                    Some(&trace_id),
-                ) {
-                    Ok(_hops) => {
-                        let us = t0.elapsed().as_micros().min(u128::from(u64::MAX)) as u64;
-                        local.ok += 1;
-                        local.latencies_us.push(us);
-                        if let Some(t) = local.tenant_mut(tenant) {
-                            t.ok += 1;
-                            t.latencies_us.push(us);
-                        }
-                        break;
-                    }
-                    Err(e) => {
-                        match &e {
-                            ClientError::Transport(_) => local.transport += 1,
-                            ClientError::Server(ErrorKind::Overloaded, _) => {
-                                local.overloaded += 1;
-                                if let Some(t) = local.tenant_mut(tenant) {
-                                    t.overloaded += 1;
-                                }
-                            }
-                            ClientError::Server(ErrorKind::DeadlineExceeded, _) => {
-                                local.deadline += 1
-                            }
-                            ClientError::Server(ErrorKind::ShuttingDown, _) => {
-                                local.shutting_down += 1
-                            }
-                            ClientError::Server(ErrorKind::BadRequest, _) => local.bad_request += 1,
-                            ClientError::Server(ErrorKind::UnknownMesh, _) => {
-                                local.unknown_mesh += 1
-                            }
-                            ClientError::Server(ErrorKind::MeshRetired, _) => {
-                                local.mesh_retired += 1
-                            }
-                            ClientError::Malformed(why) => {
-                                local.malformed += 1;
-                                eprintln!("loadgen: malformed response: {why}");
-                            }
-                        }
-                        if e.retryable() && attempt < cfg.retries {
-                            local.retries += 1;
-                            std::thread::sleep(backoff_delay(cfg, attempt));
-                            attempt += 1;
-                        } else {
-                            local.failed += 1;
-                            if let Some(t) = local.tenant_mut(tenant) {
-                                t.failed += 1;
-                            }
-                            break;
-                        }
-                    }
-                }
-            }
-        }
+        worker(cfg, addr, &next, started, &mut local);
         let mut m = merged.lock().unwrap_or_else(|e| e.into_inner());
         m.merge(local);
     });

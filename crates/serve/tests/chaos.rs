@@ -190,7 +190,6 @@ fn hedged_open_loop_load_conserves_on_every_mid_chaos_scrape() {
             retries: 8,
             timeout: Duration::from_secs(4),
             seed: 7,
-            open_loop: true,
             rate: 300.0,
             hedge_after: Some(HedgeAfter::After(Duration::from_millis(15))),
             ..LoadgenConfig::default()

@@ -328,13 +328,16 @@ unwrap_gate() {
 timed "unwrap/expect gate (workloads, faults, serve)" \
   unwrap_gate
 
-# The request server waits on readiness (poll + wake pipes), never on a
-# timer: any thread::sleep( in non-test code of server.rs needs a
-# `// ci-allow-sleep: why` note on the same line. Only the sleeps that
-# *are* the behavior carry one: the chaos worker pause, the simulated
-# service time, and the chaos slow-write stall.
+# The request server and the load generator wait on readiness (poll +
+# wake pipes), never on a timer: any thread::sleep( in non-test code of
+# server.rs or loadgen.rs needs a `// ci-allow-sleep: why` note on the
+# same line. Only the sleeps that *are* the behavior carry one: the
+# chaos worker pause, the simulated service time, and the chaos
+# slow-write stall in the server; the retry backoff and the open-loop
+# pacing wait in the load generator.
 sleep_gate() {
   awk '
+    FNR == 1 { intest = 0 }
     /#\[cfg\(test\)\]/ { intest = 1 }
     intest { next }
     /thread::sleep\(/ && !/ci-allow-sleep: [^ ]/ {
@@ -342,14 +345,14 @@ sleep_gate() {
       found = 1
     }
     END { exit found ? 1 : 0 }
-  ' crates/serve/src/server.rs || {
-    echo "unannotated thread::sleep( in crates/serve/src/server.rs: park on" \
-      "readiness instead, or add \`// ci-allow-sleep: <why>\`" >&2
+  ' crates/serve/src/server.rs crates/serve/src/loadgen.rs || {
+    echo "unannotated thread::sleep( in crates/serve/src/{server,loadgen}.rs:" \
+      "park on readiness instead, or add \`// ci-allow-sleep: <why>\`" >&2
     return 1
   }
 }
 
-timed "sleep gate (serve request path)" \
+timed "sleep gate (serve request path, loadgen)" \
   sleep_gate
 
 echo "ci: all checks passed"

@@ -1677,7 +1677,6 @@ fn cmd_loadgen(args: &Args) -> Result<String, String> {
         seed: args.num("seed")?,
         keep_alive,
         pipeline,
-        open_loop: rate.is_some(),
         rate: rate.unwrap_or(0.0),
         hedge_after,
         tenants,
@@ -1685,7 +1684,7 @@ fn cmd_loadgen(args: &Args) -> Result<String, String> {
     let report = oblivion_serve::run_loadgen(&cfg);
     report_field("loadgen_keep_alive", if keep_alive { 1u64 } else { 0 });
     report_field("loadgen_pipeline", pipeline as u64);
-    report_field("loadgen_open_loop", if cfg.open_loop { 1u64 } else { 0 });
+    report_field("loadgen_open_loop", if rate.is_some() { 1u64 } else { 0 });
     report_field("loadgen_rate", rate.unwrap_or(0.0));
     report_field("loadgen_hedge_launched", report.hedge_launched);
     report_field("loadgen_hedge_won", report.hedge_won);
