@@ -14,8 +14,9 @@
 //!
 //! Every number here is a pure function of the seeds: the fault plan
 //! derives from the fault seed alone, recovery decisions are
-//! deterministic, and the sharded engine reproduces the sequential
-//! reference bit-for-bit (spot-checked per sweep).
+//! deterministic, and the thread count never changes the outcome: the
+//! run at the configured thread count reproduces the 1-thread inline run
+//! bit-for-bit (spot-checked per sweep).
 
 use oblivion_bench::table::{f2, Table};
 use oblivion_core::{Busch2D, ObliviousRouter};
@@ -92,12 +93,12 @@ fn main() {
             });
             let r = faulted.run_sharded(&pattern, &source, steps, seed, threads);
             if !checked {
-                // Differential spot check: the sharded run must equal the
-                // sequential reference under faults too.
-                let seq = faulted.run(&pattern, &source, steps, seed);
+                // Thread-invariance spot check: the run must equal the
+                // 1-thread inline run under faults too.
+                let inline = faulted.run(&pattern, &source, steps, seed);
                 assert!(
-                    r.same_outcome(&seq),
-                    "sharded fault run diverged from sequential reference"
+                    r.same_outcome(&inline),
+                    "fault run diverged from the 1-thread inline run"
                 );
                 checked = true;
             }

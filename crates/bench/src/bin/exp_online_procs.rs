@@ -102,7 +102,7 @@ fn main() {
     let bin = oblivion_bin();
 
     let seq = run(&bin, &["--threads".into(), "1".into()], None);
-    println!("sequential reference: {:.0} ms", seq.wall_ms);
+    println!("1 thread (inline) reference: {:.0} ms", seq.wall_ms);
 
     let mut table = Table::new(vec![
         "engine",

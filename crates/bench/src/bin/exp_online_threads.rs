@@ -2,7 +2,8 @@
 //!
 //! Runs one fixed online workload on the sharded simulator at increasing
 //! thread counts, verifying that every run produces the *identical*
-//! result (the engine's determinism contract) and recording wall-clock
+//! result as `OnlineSim::run` — the same engine at one thread, run inline
+//! (the engine's determinism contract) — and recording wall-clock
 //! scaling. The speedup column is the only machine-dependent number in
 //! the table; everything else is a pure function of the seed.
 //!
@@ -36,14 +37,14 @@ fn main() {
 
     let t0 = Instant::now();
     let reference = sim.run(&pattern, &source, steps, seed);
-    let seq_ms = t0.elapsed().as_secs_f64() * 1e3;
-    println!("sequential reference: {seq_ms:.0} ms");
+    let inline_ms = t0.elapsed().as_secs_f64() * 1e3;
+    println!("1 thread (inline) reference: {inline_ms:.0} ms");
 
     let mut table = Table::new(vec![
         "threads",
         "wall ms",
-        "speedup vs seq",
-        "identical to seq",
+        "speedup vs inline",
+        "identical to inline",
         "delivered",
         "mean lat",
     ]);
@@ -55,13 +56,13 @@ fn main() {
         let identical = r.same_outcome(&reference);
         assert!(
             identical,
-            "threads={threads} diverged from the sequential reference"
+            "threads={threads} diverged from the 1-thread inline reference"
         );
         timings.push((threads, ms));
         table.row(vec![
             threads.to_string(),
             format!("{ms:.0}"),
-            f2(seq_ms / ms),
+            f2(inline_ms / ms),
             "yes".into(),
             r.delivered.to_string(),
             f2(r.mean_latency),
@@ -69,9 +70,9 @@ fn main() {
     }
     table.print();
     let shards = reference
-        .link_loads
-        .len()
-        .min(oblivion_sim::ShardMap::new(&mesh).shards());
+        .sharding
+        .expect("online runs report shards")
+        .shards;
     println!(
         "\nAll thread counts produced byte-identical results ({} shards). Speedup\n\
          is meaningful only with real cores: this host reports {} available.",
@@ -80,7 +81,7 @@ fn main() {
     );
 
     let mut extra: Vec<(&str, Json)> = vec![
-        ("seq_ms", Json::from(seq_ms)),
+        ("inline_ms", Json::from(inline_ms)),
         ("identical_across_threads", Json::from(true)),
         (
             "host_parallelism",
@@ -93,7 +94,7 @@ fn main() {
             let mut row = Json::obj();
             row.set("threads", threads)
                 .set("wall_ms", ms)
-                .set("speedup", seq_ms / ms);
+                .set("speedup", inline_ms / ms);
             row
         })
         .collect();
@@ -107,7 +108,7 @@ fn main() {
     oblivion_bench::report::write_bench_and_note(
         "online_threads",
         &[
-            ("seq_ms", Json::from(seq_ms)),
+            ("inline_ms", Json::from(inline_ms)),
             (
                 "best_ms",
                 Json::from(timings.iter().map(|&(_, ms)| ms).fold(f64::MAX, f64::min)),

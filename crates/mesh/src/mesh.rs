@@ -149,6 +149,14 @@ impl Mesh {
         }
     }
 
+    /// How many nodes along `axis` own an edge towards `+e_axis` — the
+    /// extent of `axis` in the reduced grid that orders that axis's
+    /// `EdgeId`s (row-major, axis 0 outermost).
+    #[inline]
+    pub fn edge_owners(&self, axis: usize) -> u32 {
+        Self::edge_owners_on_axis(self.dims[axis], self.topology)
+    }
+
     /// The topology (mesh or torus).
     #[inline]
     pub fn topology(&self) -> Topology {

@@ -1,22 +1,18 @@
 //! Checkpoint capture/restore for the online engines.
 //!
-//! The serialized unit is an [`EngineState`]: everything the sequential
-//! and sharded engines need to continue a run as if it had never stopped
+//! The serialized unit is an [`EngineState`]: everything the online
+//! engines need to continue a run as if it had never stopped
 //! — the main injection RNG state, the injection cursor, every in-flight
 //! packet (path, position, scheduling rank, fault-recovery clocks), the
 //! accumulated latencies and link loads, fault tallies, and (when
 //! observability is on) the deterministic counter/histogram state.
 //!
 //! **Canonical bytes.** Packets are sorted by id and latencies by value
-//! at capture time, so the sharded engine's payload for a given
-//! `(config, seed, step)` is byte-identical no matter how many threads
-//! produced it — the snapshot CRC doubles as a thread-invariant
-//! fingerprint. The sequential engine's snapshot of the same run differs
-//! only in the sharded-engine bookkeeping (`handoffs_total`,
-//! `max_imbalance`, and — when observability is on — the sharded
-//! engine's two extra counters), which it reports as zero.
+//! at capture time, so the payload for a given `(config, seed, step)` is
+//! byte-identical no matter how many threads or processes produced it —
+//! the snapshot CRC doubles as an engine-invariant fingerprint.
 //!
-//! **Identity preservation.** Packet ids are arena/flight indices, and
+//! **Identity preservation.** Packet ids are arena indices, and
 //! the contention tie-break key ends in the id — so restore rebuilds the
 //! arena at its full pre-crash length ([`EngineState::arena_len`]),
 //! placing inert dummies where delivered or dead-lettered packets sat.
@@ -29,7 +25,7 @@ use oblivion_mesh::{Mesh, NodeId, Path};
 use oblivion_obs::{Histogram, HISTOGRAM_BUCKETS};
 
 /// Checkpointing policy for one run, handed to
-/// [`crate::OnlineSim::run_ckpt`] / [`crate::OnlineSim::run_sharded_ckpt`].
+/// [`crate::OnlineSim::run_sharded_ckpt`] / [`crate::OnlineSim::run_procs_ckpt`].
 pub struct CheckpointCfg<'a> {
     /// Where snapshots are written (two-generation atomic store).
     pub store: &'a Store,
@@ -89,7 +85,7 @@ impl std::fmt::Display for StopReason {
 /// One in-flight packet, engine-neutral.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PacketState {
-    /// Arena/flight index — the packet's contention-tie-break identity.
+    /// Arena index — the packet's contention-tie-break identity.
     pub id: u64,
     /// Global injection index (identity for fault decisions).
     pub inj: u64,
@@ -177,10 +173,9 @@ pub struct EngineState {
     /// restore rebuilds the arena to this length so later packets get
     /// identical ids.
     pub arena_len: u64,
-    /// Cross-shard handoffs so far (0 when captured by the sequential
-    /// engine).
+    /// Cross-shard handoffs so far.
     pub handoffs_total: u64,
-    /// Largest per-step shard imbalance so far (0 for sequential).
+    /// Largest per-step shard imbalance so far.
     pub max_imbalance: u64,
     /// Latencies of packets delivered so far (sorted; includes the zeros
     /// of instant self-deliveries).

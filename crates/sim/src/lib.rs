@@ -24,6 +24,7 @@
 #![warn(missing_docs)]
 
 pub mod checkpoint;
+mod contend;
 pub mod online;
 pub mod pool;
 pub mod procs;
@@ -36,10 +37,11 @@ pub use online::{
 };
 pub use sharded::ShardMap;
 
+use contend::Contention;
 use oblivion_mesh::{Mesh, Path};
+use online::policy_key;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::HashMap;
 
 /// Contention-resolution rule applied independently at every link, every
 /// step.
@@ -166,50 +168,41 @@ impl<'a> Simulation<'a> {
         let step_limit = max_delay + total_moves + 1;
 
         let mut max_queue = 0usize;
-        let mut contenders: HashMap<usize, Vec<usize>> = HashMap::new();
-        let mut occupancy: HashMap<usize, usize> = HashMap::new();
+        let mut contention = Contention::new(self.mesh.edge_count());
+        // Packets buffered per node this step, reset through `occupied`.
+        let mut occupancy = vec![0usize; self.mesh.node_count()];
+        let mut occupied: Vec<usize> = Vec::new();
         while !remaining.is_empty() {
             assert!(t < step_limit, "scheduler failed to make progress");
-            contenders.clear();
-            occupancy.clear();
             for &i in &remaining {
-                if let Some(d) = delays {
-                    if d[i] > t {
-                        continue; // not yet injected
-                    }
+                if delays.is_some_and(|d| d[i] > t) {
+                    continue; // not yet injected
                 }
                 let p = self.paths[i].nodes();
                 let node = self.mesh.node_id(&p[pos[i]]).0;
-                *occupancy.entry(node).or_insert(0) += 1;
-                let e = self.mesh.edge_id(&p[pos[i]], &p[pos[i] + 1]);
-                contenders.entry(e.0).or_default().push(i);
+                if occupancy[node] == 0 {
+                    occupied.push(node);
+                }
+                occupancy[node] += 1;
+                let e = self.mesh.edge_id(&p[pos[i]], &p[pos[i] + 1]).0;
+                let rem = (self.paths[i].len() - pos[i]) as u64;
+                let key = policy_key(policy, arrived_at[i], ranks[i], rem, i as u64);
+                contention.offer(e, key, i);
             }
-            max_queue = max_queue.max(occupancy.values().copied().max().unwrap_or(0));
+            let queue = occupied
+                .drain(..)
+                .map(|n| std::mem::take(&mut occupancy[n]))
+                .max()
+                .unwrap_or(0);
+            max_queue = max_queue.max(queue);
             if oblivion_obs::is_enabled() {
                 oblivion_obs::counter_add("sim_steps", 1);
-                oblivion_obs::record(
-                    "queue_len_per_step",
-                    occupancy.values().copied().max().unwrap_or(0) as u64,
-                );
-                oblivion_obs::record("busy_links_per_step", contenders.len() as u64);
+                oblivion_obs::record("queue_len_per_step", queue as u64);
+                oblivion_obs::record("busy_links_per_step", contention.busy() as u64);
             }
-            for group in contenders.values() {
-                max_contention = max_contention.max(group.len());
-                let &winner = group
-                    .iter()
-                    .min_by_key(|&&i| match policy {
-                        SchedulingPolicy::Fifo => (arrived_at[i], i as u64),
-                        SchedulingPolicy::FurthestToGo => {
-                            let rem = self.paths[i].len() - pos[i];
-                            (u64::MAX - rem as u64, i as u64)
-                        }
-                        SchedulingPolicy::ClosestToGo => {
-                            let rem = self.paths[i].len() - pos[i];
-                            (rem as u64, i as u64)
-                        }
-                        SchedulingPolicy::RandomRank => (ranks[i], i as u64),
-                    })
-                    .unwrap();
+            for won in contention.drain() {
+                max_contention = max_contention.max(won.group as usize);
+                let winner = won.at;
                 pos[winner] += 1;
                 arrived_at[winner] = t + 1;
                 if pos[winner] == self.paths[winner].len() {

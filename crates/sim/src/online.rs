@@ -11,23 +11,21 @@
 //! load: a good router's latency stays flat until `λ` approaches the
 //! pattern's capacity limit, then diverges.
 //!
-//! Two engines share one contract. [`OnlineSim::run`] is the sequential
-//! reference; [`OnlineSim::run_sharded`] partitions the mesh's links into
-//! spatial shards and simulates them on a thread pool (see
-//! [`crate::sharded`]). Both draw injections from the same main RNG
-//! stream and give packet `k` a private path-selection RNG derived from
-//! `(seed, k)`, so they produce **identical results** — the differential
-//! tests in `tests/parallel_online.rs` hold them to that, field for
-//! field, for any thread count.
+//! One engine runs every online simulation: [`OnlineSim::run_sharded`]
+//! partitions the mesh's links into spatial shards and steps them on a
+//! thread pool (see [`crate::sharded`]); [`OnlineSim::run`] is that engine
+//! with one shard worker run inline. Injections come from one main RNG
+//! stream and packet `k` selects its path from a private RNG derived from
+//! `(seed, k)`, so the outcome is **identical at every thread count** —
+//! the differential suites in `tests/` hold it, field for field, to a
+//! deliberately naive oracle that lives in test code only.
 
-use crate::checkpoint::{capture_obs, CheckpointCfg, EngineState, PacketState, StopReason};
-use crate::stepper::{Adverse, BoundaryScalars, FaultClock, Pending, PhaseTimer, StepObs, Stepper};
+use crate::checkpoint::{CheckpointCfg, EngineState, StopReason};
 use crate::SchedulingPolicy;
 use oblivion_faults::{FaultPlan, RecoveryPolicy};
-use oblivion_mesh::{Coord, EdgeId, Mesh, Path};
+use oblivion_mesh::{Coord, Mesh, Path};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::HashMap;
 
 /// Where an injected packet wants to go.
 pub trait TrafficPattern {
@@ -102,7 +100,7 @@ impl<F: Fn(&Coord, &Coord, &mut StdRng) -> Path> PathSource for F {
 
 /// Fault setup for an online run: the materialized plan plus what a
 /// packet does when its next hop is down. `Copy` (it only borrows the
-/// plan), so both engines can pass it around freely.
+/// plan), so the engines can pass it around freely.
 #[derive(Clone, Copy)]
 pub struct Faults<'a> {
     /// The read-only fault schedule, queried at contention time.
@@ -116,8 +114,8 @@ pub struct Faults<'a> {
 
 /// Graceful-degradation tallies of a faulted run; `None` on
 /// [`OnlineResult::faults`] when no fault plan was attached. All fields
-/// are order-free sums, so they are bit-identical between the sequential
-/// and sharded engines at any thread count.
+/// are order-free sums, so they are bit-identical at any thread or
+/// process count.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct FaultStats {
     /// Packets abandoned after exhausting their retry budget, plus those
@@ -217,8 +215,8 @@ pub struct OnlineResult {
     /// Total traversals of each link over the run, indexed by `EdgeId` —
     /// the online analogue of the offline congestion map.
     pub link_loads: Vec<u64>,
-    /// Shard statistics when the sharded engine ran; `None` for
-    /// [`OnlineSim::run`].
+    /// Shard statistics of the run (always `Some` from the online
+    /// engines; [`OnlineResult::same_outcome`] ignores them).
     pub sharding: Option<ShardSummary>,
     /// Fault tallies when a fault plan was attached; `None` otherwise.
     pub faults: Option<FaultStats>,
@@ -237,7 +235,7 @@ impl OnlineResult {
         mut latencies: Vec<u64>,
         in_flight: usize,
         link_loads: Vec<u64>,
-        sharding: Option<ShardSummary>,
+        sharding: ShardSummary,
         faults: Option<FaultStats>,
     ) -> Self {
         let delivered = latencies.len();
@@ -261,7 +259,7 @@ impl OnlineResult {
             in_flight,
             throughput: delivered as f64 / (mesh.node_count() as f64 * steps as f64),
             link_loads,
-            sharding,
+            sharding: Some(sharding),
             faults,
         }
     }
@@ -279,7 +277,8 @@ impl OnlineResult {
     /// `true` when two runs produced the same simulation outcome —
     /// every field except [`Self::sharding`], which records *how* the
     /// work was organized rather than *what* happened. Used by the
-    /// differential tests comparing the sequential and sharded engines.
+    /// differential tests comparing thread counts, process counts, and
+    /// the test oracle.
     pub fn same_outcome(&self, other: &Self) -> bool {
         self.steps == other.steps
             && self.injected == other.injected
@@ -300,41 +299,6 @@ pub struct OnlineSim<'a> {
     /// Injection probability per node per step.
     rate: f64,
     faults: Option<Faults<'a>>,
-}
-
-struct Flight {
-    path: Path,
-    pos: usize,
-    injected_at: u64,
-    arrived_at: u64,
-    rank: u64,
-    /// Injection index: the packet's run-global identity for fault
-    /// decisions (drop hashes, resample RNGs).
-    inj: u64,
-    /// Fault-recovery clock (shared transition rules in `stepper`).
-    clock: FaultClock,
-    dead: bool,
-}
-
-/// Installs a freshly resampled path on `f`, drawn from the plan's
-/// derived RNG for `(f.inj, attempts)`. The packet restarts at position
-/// 0 of the new path and may not act again before `t + 1`.
-fn resample_flight(
-    f: &mut Flight,
-    fx: &Faults<'_>,
-    paths: &dyn PathSource,
-    mesh: &Mesh,
-    attempts: u32,
-    t: u64,
-) {
-    let cur = f.path.nodes()[f.pos];
-    let dst = *f.path.nodes().last().expect("non-empty path");
-    let mut rng = fx.plan.resample_rng(f.inj, attempts);
-    let np = paths.resample(&cur, &dst, &mut rng);
-    debug_assert!(np.is_valid(mesh), "resampled path invalid");
-    f.path = np;
-    f.pos = 0;
-    f.clock.resampled(attempts, t);
 }
 
 impl<'a> OnlineSim<'a> {
@@ -360,7 +324,8 @@ impl<'a> OnlineSim<'a> {
         self
     }
 
-    pub(crate) fn fault_setup(&self) -> Option<Faults<'a>> {
+    /// The attached fault setup, if any.
+    pub fn faults(&self) -> Option<Faults<'a>> {
         self.faults
     }
 
@@ -381,231 +346,24 @@ impl<'a> OnlineSim<'a> {
 
     /// Runs for `steps` steps (plus a drain phase of up to `steps` more in
     /// which no new packets are injected), returning latency/throughput
-    /// statistics. Sequential reference engine; produces the same result
-    /// as [`Self::run_sharded`] at any thread count.
+    /// statistics: [`Self::run_sharded`] with one thread, run inline.
     pub fn run(
         &self,
         pattern: &dyn TrafficPattern,
-        paths: &dyn PathSource,
+        paths: &(dyn PathSource + Sync),
         steps: u64,
         seed: u64,
     ) -> OnlineResult {
-        match self.run_ckpt(pattern, paths, steps, seed, None, None) {
-            Ok(r) => r,
-            Err(stop) => unreachable!("uncheckpointed run cannot stop early: {stop}"),
-        }
+        self.run_sharded(pattern, paths, steps, seed, 1)
     }
 
-    /// [`Self::run`] with checkpoint/restore: `ckpt` enables periodic and
-    /// shutdown snapshots, `resume` continues from a decoded snapshot. A
-    /// resumed run produces an [`OnlineResult`] identical to an
-    /// uninterrupted run of the same configuration.
-    pub fn run_ckpt(
-        &self,
-        pattern: &dyn TrafficPattern,
-        paths: &dyn PathSource,
-        steps: u64,
-        seed: u64,
-        ckpt: Option<&CheckpointCfg<'_>>,
-        resume: Option<&EngineState>,
-    ) -> Result<OnlineResult, StopReason> {
-        let _span = oblivion_obs::span("online_sim");
-        let mut sp = Stepper::new(self.rate, self.faults, steps, seed, ckpt, resume);
-        let nodes: Vec<Coord> = self.mesh.coords().collect();
-        let mut flights: Vec<Flight> = Vec::new();
-        let mut active: Vec<usize> = Vec::new();
-        let mut latencies: Vec<u64> = Vec::new();
-        let mut link_loads = vec![0u64; self.mesh.edge_count()];
-        let mut pending: Vec<Pending> = Vec::new();
-        let mut contenders: HashMap<usize, Vec<usize>> = HashMap::new();
-
-        if let Some(st) = resume {
-            latencies = st.latencies.clone();
-            link_loads.clone_from(&st.link_loads);
-            // Rebuild the flight arena at its pre-stop length: live
-            // packets in place, inert dummies where delivered/dead ones
-            // sat, so post-resume packets get identical indices (ids).
-            let mut live = st.packets.iter().peekable();
-            for id in 0..st.arena_len as usize {
-                if live.peek().is_some_and(|p| p.id as usize == id) {
-                    let p = live.next().expect("peeked");
-                    flights.push(Flight {
-                        path: p.to_path(self.mesh),
-                        pos: p.pos as usize,
-                        injected_at: p.injected_at,
-                        arrived_at: p.arrived,
-                        rank: p.rank,
-                        inj: p.inj,
-                        clock: FaultClock::restore(p.attempts, p.backoff_until),
-                        dead: false,
-                    });
-                    active.push(id);
-                } else {
-                    flights.push(Flight {
-                        path: Path::trivial(self.mesh.coord(oblivion_mesh::NodeId(0))),
-                        pos: 0,
-                        injected_at: 0,
-                        arrived_at: 0,
-                        rank: 0,
-                        inj: 0,
-                        clock: FaultClock::default(),
-                        dead: true,
-                    });
-                }
-            }
-        }
-        let mut timer = PhaseTimer::idle();
-        while sp.running(active.len()) {
-            if let Some(stop) = sp.boundary(|scalars| {
-                capture_sequential(
-                    self.mesh,
-                    scalars,
-                    &flights,
-                    &active,
-                    &latencies,
-                    &link_loads,
-                )
-            }) {
-                return Err(stop);
-            }
-            timer.start();
-            // Injection phase: draw from the main RNG (stepper), then
-            // route each pending inline — its private route RNG is a pure
-            // function of `(seed, idx)`, so routing order is immaterial.
-            sp.draw_injections(self.mesh, &nodes, pattern, &mut pending);
-            let t = sp.t;
-            for pj in &pending {
-                let mut prng = route_rng_for(seed, pj.idx);
-                let path = paths.path(&pj.src, &pj.dst, &mut prng);
-                debug_assert!(path.is_valid(self.mesh));
-                if path.is_empty() {
-                    latencies.push(0);
-                    continue;
-                }
-                flights.push(Flight {
-                    path,
-                    pos: 0,
-                    injected_at: t,
-                    arrived_at: t,
-                    rank: pj.rank,
-                    inj: pj.idx,
-                    clock: FaultClock::default(),
-                    dead: false,
-                });
-                active.push(flights.len() - 1);
-            }
-            timer.inject_done();
-            // Movement phase. A packet whose next link is down does not
-            // contend this step; its recovery policy decides what it
-            // does instead.
-            contenders.clear();
-            for &i in &active {
-                let e = {
-                    let f = &flights[i];
-                    let p = f.path.nodes();
-                    self.mesh.edge_id(&p[f.pos], &p[f.pos + 1])
-                };
-                if let Some(fx) = &sp.faults {
-                    if fx.plan.link_down(e, t) {
-                        let fs = sp.fstats.as_mut().unwrap();
-                        fs.blocked += 1;
-                        let f = &mut flights[i];
-                        match f.clock.adverse(fx, t) {
-                            Adverse::Hold => {}
-                            Adverse::DeadLetter => {
-                                f.dead = true;
-                                fs.dead_letters += 1;
-                            }
-                            Adverse::Resample { attempts } => {
-                                fs.resamples += 1;
-                                resample_flight(f, fx, paths, self.mesh, attempts, t);
-                            }
-                        }
-                        continue;
-                    }
-                }
-                contenders.entry(e.0).or_default().push(i);
-            }
-            let max_group = contenders.values().map(Vec::len).max().unwrap_or(0) as u64;
-            let busy = contenders.len() as u64;
-            for (&e, group) in &contenders {
-                let &winner = group
-                    .iter()
-                    .min_by_key(|&&i| {
-                        let f = &flights[i];
-                        policy_key(
-                            self.policy,
-                            f.arrived_at,
-                            f.rank,
-                            (f.path.len() - f.pos) as u64,
-                            i as u64,
-                        )
-                    })
-                    .unwrap();
-                let f = &mut flights[winner];
-                // The winning traversal can still lose the packet to
-                // per-link drop; the recovery policy then decides
-                // whether it is re-sent (from the same node) or dies.
-                if let Some(fx) = &sp.faults {
-                    if fx.plan.drops(EdgeId(e), t, f.inj) {
-                        let fs = sp.fstats.as_mut().unwrap();
-                        fs.drops += 1;
-                        match f.clock.adverse(fx, t) {
-                            Adverse::Hold => {}
-                            Adverse::DeadLetter => {
-                                f.dead = true;
-                                fs.dead_letters += 1;
-                            }
-                            Adverse::Resample { attempts } => {
-                                fs.resamples += 1;
-                                resample_flight(f, fx, paths, self.mesh, attempts, t);
-                            }
-                        }
-                        continue;
-                    }
-                    // A completed hop clears the recovery state.
-                    f.clock.progressed();
-                }
-                f.pos += 1;
-                f.arrived_at = t + 1;
-                link_loads[e] += 1;
-                if f.pos == f.path.len() {
-                    latencies.push(t + 1 - f.injected_at);
-                }
-            }
-            active.retain(|&i| !flights[i].dead && flights[i].pos < flights[i].path.len());
-            timer.move_done();
-            sp.end_step(
-                active.len(),
-                StepObs {
-                    max_group,
-                    busy,
-                    shard: None,
-                },
-            );
-        }
-
-        sp.finish(None);
-        Ok(OnlineResult::assemble(
-            self.mesh,
-            steps,
-            sp.injected,
-            latencies,
-            active.len(),
-            link_loads,
-            None,
-            sp.fstats,
-        ))
-    }
-
-    /// Runs the same simulation on the sharded parallel engine with
-    /// `threads` worker threads (`1` runs inline with no threads spawned).
+    /// Runs the simulation on the sharded engine with `threads` worker
+    /// threads (`1` runs inline with no threads spawned).
     ///
     /// Deterministic: the outcome — every [`OnlineResult`] field,
     /// including [`OnlineResult::sharding`] — is a pure function of the
     /// configuration, `steps`, and `seed`; the thread count only changes
-    /// wall-clock time. The outcome also matches [`Self::run`] (see
-    /// [`OnlineResult::same_outcome`]).
+    /// wall-clock time.
     ///
     /// # Panics
     /// Panics if `threads == 0`.
@@ -648,11 +406,10 @@ impl<'a> OnlineSim<'a> {
     /// spatial shards, exchanging boundary handoffs over checksummed
     /// pipes (see [`crate::procs`]).
     ///
-    /// Deterministic: the outcome matches [`Self::run`] and
-    /// [`Self::run_sharded`] byte for byte at any process count — even
-    /// when a worker dies mid-run and is restored from its shadow
-    /// snapshot, because a worker's state is a pure function of the
-    /// shadow plus the replayed step messages.
+    /// Deterministic: the outcome matches [`Self::run_sharded`] byte for
+    /// byte at any process count — even when a worker dies mid-run and is
+    /// restored from its shadow snapshot, because a worker's state is a
+    /// pure function of the shadow plus the replayed step messages.
     ///
     /// # Panics
     /// Panics if `pcfg.procs == 0`.
@@ -668,59 +425,6 @@ impl<'a> OnlineSim<'a> {
         resume: Option<&EngineState>,
     ) -> Result<OnlineResult, StopReason> {
         crate::procs::run_procs_ckpt(self, pattern, paths, steps, seed, pcfg, ckpt, resume)
-    }
-}
-
-/// Builds the canonical [`EngineState`] of the sequential engine at the
-/// start of a step. Latencies are sorted (their order is immaterial to
-/// the result) so that, with observability disabled, the bytes match the
-/// sharded engine's capture at the same step (the sharded engine keeps
-/// two extra obs counters and real handoff/imbalance totals).
-fn capture_sequential(
-    mesh: &Mesh,
-    scalars: &BoundaryScalars<'_>,
-    flights: &[Flight],
-    active: &[usize],
-    latencies: &[u64],
-    link_loads: &[u64],
-) -> EngineState {
-    let packets = active
-        .iter()
-        .map(|&i| {
-            let f = &flights[i];
-            PacketState {
-                id: i as u64,
-                inj: f.inj,
-                injected_at: f.injected_at,
-                arrived: f.arrived_at,
-                rank: f.rank,
-                pos: f.pos as u64,
-                attempts: f.clock.attempts,
-                backoff_until: f.clock.backoff_until,
-                path: f
-                    .path
-                    .nodes()
-                    .iter()
-                    .map(|c| mesh.node_id(c).0 as u64)
-                    .collect(),
-            }
-        })
-        .collect();
-    let mut sorted_latencies = latencies.to_vec();
-    sorted_latencies.sort_unstable();
-    EngineState {
-        t: scalars.t,
-        rng: scalars.rng.state(),
-        injected: scalars.injected as u64,
-        inj_idx: scalars.inj_idx,
-        arena_len: flights.len() as u64,
-        handoffs_total: 0,
-        max_imbalance: 0,
-        latencies: sorted_latencies,
-        link_loads: link_loads.to_vec(),
-        packets,
-        fstats: *scalars.fstats,
-        obs: capture_obs(),
     }
 }
 

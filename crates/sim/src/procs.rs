@@ -28,15 +28,14 @@
 //! ```
 //!
 //! **Determinism.** The supervisor draws injections and routes them
-//! exactly as the sequential engine would (main RNG + per-packet route
+//! exactly as the thread engine does (main RNG + per-packet route
 //! RNGs); workers mirror `step_shard` bit for bit, and every aggregate
 //! the supervisor folds (latency sums, fault tallies, busy/max-group,
 //! live counts) is order-free. Deterministic obs emitted while a worker
 //! steps (router resample instrumentation) are drained into each DONE
 //! and merged back into the supervisor's registry, so metrics documents
 //! and snapshots stay canonical too. `--procs N` is therefore
-//! byte-identical to `--threads K` and to the sequential engine for
-//! every N and K.
+//! byte-identical to `--threads K` for every N and K.
 //!
 //! **Robustness.** Each worker is watched through per-message deadlines
 //! re-armed by heartbeats. When a worker dies (crash, kill -9, EOF,
@@ -57,12 +56,12 @@ use crate::pool;
 use crate::sharded::{step_shard, Arena, ShardMap, ShardState, GONE};
 use crate::stepper::{Pending, PhaseTimer, ShardFinale, StepObs, Stepper};
 use oblivion_ckpt::{ByteReader, ByteWriter, CkptError};
-use oblivion_mesh::{Coord, Mesh, NodeId, Path};
+use oblivion_mesh::{Coord, Mesh, NodeId};
 use oblivion_wire::{decode_msg, encode_msg, FrameBuf, Framed, Msg};
 use std::io::{self, Read, Write};
 use std::path::PathBuf;
 use std::process::{Child, ChildStdin, Command, Stdio};
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -576,7 +575,7 @@ pub(crate) fn run_procs_ckpt(
     assert!(pcfg.procs >= 1, "need at least one worker process");
     let _span = oblivion_obs::span("online_sim_procs");
     let mesh = sim.mesh();
-    let faults = sim.fault_setup();
+    let faults = sim.faults();
     let map = ShardMap::new(mesh);
     let shards_n = map.shards();
     let procs = pcfg.procs.min(shards_n);
@@ -832,7 +831,8 @@ pub(crate) fn run_procs_ckpt(
             StepObs {
                 max_group,
                 busy,
-                shard: Some((step_handoffs, imbalance)),
+                handoffs: step_handoffs,
+                imbalance,
             },
         );
     }
@@ -877,10 +877,10 @@ pub(crate) fn run_procs_ckpt(
     }
     drop(fleet);
 
-    sp.finish(Some(ShardFinale {
+    sp.finish(ShardFinale {
         shards: shards_n,
         steals: 0,
-    }));
+    });
 
     let mut latencies: Vec<u64> = base_latencies;
     latencies.resize(latencies.len() + delivered_instant, 0);
@@ -893,11 +893,11 @@ pub(crate) fn run_procs_ckpt(
         latencies,
         alive,
         link_loads,
-        Some(ShardSummary {
+        ShardSummary {
             shards: shards_n,
             handoffs: handoffs_total,
             max_imbalance,
-        }),
+        },
         sp.fstats,
     ))
 }
@@ -913,66 +913,6 @@ fn write_line(guard: &Mutex<()>, line: &str) -> io::Result<()> {
     let mut out = io::stdout();
     out.write_all(line.as_bytes())?;
     out.flush()
-}
-
-fn dummy_slot(arena: &mut Arena, mesh: &Mesh) {
-    arena
-        .path
-        .push(Mutex::new(Path::trivial(mesh.coord(NodeId(0)))));
-    arena.injected_at.push(0);
-    arena.rank.push(0);
-    arena.inj.push(0);
-    arena.pos.push(AtomicUsize::new(0));
-    arena.arrived.push(AtomicU64::new(0));
-    arena.cur_edge.push(AtomicUsize::new(0));
-    arena.attempts.push(AtomicU32::new(0));
-    arena.backoff.push(AtomicU64::new(0));
-}
-
-/// Installs an arriving packet into the arena at its global id (padding
-/// with inert dummies so ids align with every other process), returning
-/// its current edge.
-fn install(arena: &mut Arena, mesh: &Mesh, p: &PacketState) -> usize {
-    let path = p.to_path(mesh);
-    debug_assert!(path.is_valid(mesh), "supervisor sent an invalid path");
-    let pos = p.pos as usize;
-    let pnodes = path.nodes();
-    let e = mesh.edge_id(&pnodes[pos], &pnodes[pos + 1]).0;
-    let id = p.id as usize;
-    while arena.path.len() <= id {
-        dummy_slot(arena, mesh);
-    }
-    arena.path[id] = Mutex::new(path);
-    arena.injected_at[id] = p.injected_at;
-    arena.rank[id] = p.rank;
-    arena.inj[id] = p.inj;
-    arena.pos[id].store(pos, Ordering::Relaxed);
-    arena.arrived[id].store(p.arrived, Ordering::Relaxed);
-    arena.cur_edge[id].store(e, Ordering::Relaxed);
-    arena.attempts[id].store(p.attempts, Ordering::Relaxed);
-    arena.backoff[id].store(p.backoff_until, Ordering::Relaxed);
-    e
-}
-
-/// Reads packet `id` back out of the arena (for handoffs and snapshots)
-/// — the same field mapping the thread engine's capture uses.
-fn extract(arena: &Arena, mesh: &Mesh, id: usize) -> PacketState {
-    let path = arena.path[id].lock().unwrap();
-    PacketState {
-        id: id as u64,
-        inj: arena.inj[id],
-        injected_at: arena.injected_at[id],
-        arrived: arena.arrived[id].load(Ordering::Relaxed),
-        rank: arena.rank[id],
-        pos: arena.pos[id].load(Ordering::Relaxed) as u64,
-        attempts: arena.attempts[id].load(Ordering::Relaxed),
-        backoff_until: arena.backoff[id].load(Ordering::Relaxed),
-        path: path
-            .nodes()
-            .iter()
-            .map(|c| mesh.node_id(c).0 as u64)
-            .collect(),
-    }
 }
 
 /// Serves one worker process: reads supervisor messages on stdin,
@@ -1082,7 +1022,7 @@ pub fn worker_serve(cfg: &WorkerCfg<'_>, paths: &(dyn PathSource + Sync)) -> Res
                     .collect();
                 let _ = t0; // parity is re-established by the next STEP's t
                 for p in &packets {
-                    let e = install(&mut arena, mesh, p);
+                    let e = arena.install(mesh, p);
                     let s = map.shard_of_edge[e] as usize;
                     if !is_owned[s] {
                         return Err(format!("RESTORE packet {} belongs to shard {s}", p.id));
@@ -1112,7 +1052,7 @@ pub fn worker_serve(cfg: &WorkerCfg<'_>, paths: &(dyn PathSource + Sync)) -> Res
                     std::process::abort();
                 }
                 for p in &arrivals {
-                    let e = install(&mut arena, mesh, p);
+                    let e = arena.install(mesh, p);
                     let s = map.shard_of_edge[e] as usize;
                     debug_assert!(is_owned[s], "supervisor misrouted packet {}", p.id);
                     inboxes[s][(t % 2) as usize]
@@ -1164,7 +1104,7 @@ pub fn worker_serve(cfg: &WorkerCfg<'_>, paths: &(dyn PathSource + Sync)) -> Res
                     }
                     let mut ib = inbox[((t + 1) % 2) as usize].lock().unwrap();
                     for id in ib.drain(..) {
-                        done.handoffs_out.push(extract(&arena, mesh, id));
+                        done.handoffs_out.push(arena.extract(mesh, id));
                     }
                 }
                 write_line(&out_guard, &done_line(&done)).map_err(|e| format!("stdout: {e}"))?;
@@ -1184,7 +1124,7 @@ pub fn worker_serve(cfg: &WorkerCfg<'_>, paths: &(dyn PathSource + Sync)) -> Res
                 }
                 ids.sort_unstable();
                 let packets: Vec<PacketState> =
-                    ids.iter().map(|&i| extract(&arena, mesh, i)).collect();
+                    ids.iter().map(|&i| arena.extract(mesh, i)).collect();
                 let loads: Vec<Vec<u64>> = owned
                     .iter()
                     .map(|&s| shards[s].lock().unwrap().loads.clone())

@@ -22,10 +22,12 @@
 //!    (policy priority, then packet id) and every reported metric is an
 //!    order-free aggregate.
 //!
-//! The result is byte-for-byte identical to [`OnlineSim::run`] for any
-//! thread count: the pool decides *who* computes, never *what*.
+//! The result is byte-for-byte identical for any thread count — and
+//! [`OnlineSim::run`] is this engine at one thread, run inline: the pool
+//! decides *who* computes, never *what*.
 
 use crate::checkpoint::{capture_obs, CheckpointCfg, EngineState, PacketState, StopReason};
+use crate::contend::Contention;
 use crate::online::{
     policy_key, route_rng_for, Faults, OnlineResult, OnlineSim, PathSource, ShardSummary,
     TrafficPattern,
@@ -58,21 +60,36 @@ pub struct ShardMap {
 impl ShardMap {
     /// Builds the shard map for a mesh: `min(side(0), MAX_SHARDS)` bands,
     /// each edge assigned by the axis-0 coordinate of its lower endpoint.
+    ///
+    /// Derived from the mesh's edge layout rather than per-edge endpoint
+    /// lookups: `EdgeId`s run axis by axis, each axis row-major over its
+    /// owner endpoints with axis 0 outermost, so every axis is a sequence
+    /// of equal runs that share one axis-0 coordinate.
     pub fn new(mesh: &Mesh) -> Self {
-        let side = u64::from(mesh.side(0).max(1));
-        let shards = (side as usize).min(MAX_SHARDS);
+        let side = mesh.side(0).max(1) as usize;
+        let shards = side.min(MAX_SHARDS);
         let ec = mesh.edge_count();
-        let mut shard_of_edge = vec![0u32; ec];
-        let mut slot_of_edge = vec![0u32; ec];
+        let mut shard_of_edge = Vec::with_capacity(ec);
+        let mut slot_of_edge = Vec::with_capacity(ec);
         let mut slots = vec![0usize; shards];
-        for e in 0..ec {
-            let (a, b) = mesh.edge_endpoints(EdgeId(e));
-            let x = u64::from(a[0].min(b[0]));
-            let s = ((x * shards as u64) / side) as usize;
-            shard_of_edge[e] = s as u32;
-            slot_of_edge[e] = slots[s] as u32;
-            slots[s] += 1;
+        let inner: usize = (1..mesh.dim()).map(|i| mesh.side(i) as usize).product();
+        for axis in 0..mesh.dim() {
+            let owners = mesh.edge_owners(axis) as usize;
+            let (rows, run) = if axis == 0 {
+                (owners, inner)
+            } else {
+                (side, inner / mesh.side(axis) as usize * owners)
+            };
+            for x in 0..rows {
+                // An axis-0 wrap link (owner side-1) has lower endpoint 0.
+                let low = if axis == 0 && x + 1 == side { 0 } else { x };
+                let s = low * shards / side;
+                shard_of_edge.extend(std::iter::repeat_n(s as u32, run));
+                slot_of_edge.extend(slots[s] as u32..(slots[s] + run) as u32);
+                slots[s] += run;
+            }
         }
+        debug_assert_eq!(shard_of_edge.len(), ec);
         Self {
             shards,
             shard_of_edge,
@@ -117,6 +134,77 @@ pub(crate) struct Arena {
     pub(crate) backoff: Vec<AtomicU64>,
 }
 
+impl Arena {
+    /// Appends a packet injected at step `t` at the start of `path`,
+    /// waiting on edge `edge0`; its id is the slot index.
+    pub(crate) fn push_fresh(&mut self, path: Path, t: u64, rank: u64, inj: u64, edge0: usize) {
+        self.path.push(Mutex::new(path));
+        self.injected_at.push(t);
+        self.rank.push(rank);
+        self.inj.push(inj);
+        self.pos.push(AtomicUsize::new(0));
+        self.arrived.push(AtomicU64::new(t));
+        self.cur_edge.push(AtomicUsize::new(edge0));
+        self.attempts.push(AtomicU32::new(0));
+        self.backoff.push(AtomicU64::new(0));
+    }
+
+    /// Appends an inert placeholder where a delivered or dead packet sat.
+    fn push_dummy(&mut self, mesh: &Mesh) {
+        self.push_fresh(
+            Path::trivial(mesh.coord(oblivion_mesh::NodeId(0))),
+            0,
+            0,
+            0,
+            0,
+        );
+    }
+
+    /// Writes packet `p` (from a snapshot or a process handoff) into slot
+    /// `p.id`, padding the arena with inert dummies so ids line up with
+    /// an uninterrupted run. Returns its current edge.
+    pub(crate) fn install(&mut self, mesh: &Mesh, p: &PacketState) -> usize {
+        let path = p.to_path(mesh);
+        debug_assert!(path.is_valid(mesh), "invalid packet path");
+        let pos = p.pos as usize;
+        let e = mesh.edge_id(&path.nodes()[pos], &path.nodes()[pos + 1]).0;
+        let id = p.id as usize;
+        while self.path.len() <= id {
+            self.push_dummy(mesh);
+        }
+        self.path[id] = Mutex::new(path);
+        self.injected_at[id] = p.injected_at;
+        self.rank[id] = p.rank;
+        self.inj[id] = p.inj;
+        self.pos[id].store(pos, Ordering::Relaxed);
+        self.arrived[id].store(p.arrived, Ordering::Relaxed);
+        self.cur_edge[id].store(e, Ordering::Relaxed);
+        self.attempts[id].store(p.attempts, Ordering::Relaxed);
+        self.backoff[id].store(p.backoff_until, Ordering::Relaxed);
+        e
+    }
+
+    /// Reads packet `id` back out, for snapshots and process handoffs.
+    pub(crate) fn extract(&self, mesh: &Mesh, id: usize) -> PacketState {
+        let path = self.path[id].lock().unwrap();
+        PacketState {
+            id: id as u64,
+            inj: self.inj[id],
+            injected_at: self.injected_at[id],
+            arrived: self.arrived[id].load(Ordering::Relaxed),
+            rank: self.rank[id],
+            pos: self.pos[id].load(Ordering::Relaxed) as u64,
+            attempts: self.attempts[id].load(Ordering::Relaxed),
+            backoff_until: self.backoff[id].load(Ordering::Relaxed),
+            path: path
+                .nodes()
+                .iter()
+                .map(|c| mesh.node_id(c).0 as u64)
+                .collect(),
+        }
+    }
+}
+
 /// Tombstone marker in a shard's active list: the packet left the shard
 /// (delivered or handed off) and is skipped at the next scan.
 pub(crate) const GONE: usize = usize::MAX;
@@ -128,14 +216,9 @@ pub(crate) struct ShardState {
     pub(crate) active: Vec<usize>,
     /// Live packet count after the last step (excludes tombstones).
     pub(crate) live: usize,
-    /// Per-slot winner key `(policy priority, packet id)` this step.
-    pub(crate) best: Vec<(u64, u64)>,
-    /// Per-slot winner position in `active` (for tombstoning).
-    pub(crate) best_pos: Vec<u32>,
-    /// Per-slot contender count this step.
-    pub(crate) count: Vec<u32>,
-    /// Slots touched this step (insertion order).
-    pub(crate) touched: Vec<u32>,
+    /// Per-slot link contention; winners are tagged with their position
+    /// in `active` (for tombstoning).
+    contention: Contention,
     /// Per-slot traversal totals (the shard's slice of the link loads).
     pub(crate) loads: Vec<u64>,
     /// Delivery latencies of packets that completed in this shard.
@@ -155,10 +238,7 @@ impl ShardState {
         Self {
             active: Vec::new(),
             live: 0,
-            best: vec![(0, 0); slots],
-            best_pos: vec![0; slots],
-            count: vec![0; slots],
-            touched: Vec::new(),
+            contention: Contention::new(slots),
             loads: vec![0; slots],
             latencies: Vec::new(),
             step_max_group: 0,
@@ -202,7 +282,7 @@ pub(crate) fn run_sharded_ckpt(
     let _span = oblivion_obs::span("online_sim_sharded");
     let mesh = sim.mesh();
     let policy = sim.policy();
-    let faults = sim.fault_setup();
+    let faults = sim.faults();
     let map = ShardMap::new(mesh);
     let shards_n = map.shards();
 
@@ -303,43 +383,17 @@ pub(crate) fn run_sharded_ckpt(
         handoffs_total = st.handoffs_total;
         max_imbalance = st.max_imbalance;
         base_latencies = st.latencies.clone();
-        // Rebuild the arena at its pre-stop length: live packets in
-        // place, inert dummies where delivered/dead ones sat, so
-        // post-resume packets get identical ids. Live packets join the
-        // active list of the shard owning their current edge.
+        // Rebuild the arena at its pre-stop length, so post-resume
+        // packets get identical ids. Live packets join the active list of
+        // the shard owning their current edge.
         let mut a = arena.write().unwrap();
-        let mut live = st.packets.iter().peekable();
-        for id in 0..st.arena_len as usize {
-            if live.peek().is_some_and(|p| p.id as usize == id) {
-                let p = live.next().expect("peeked");
-                let path = p.to_path(mesh);
-                let pos = p.pos as usize;
-                let nodes = path.nodes();
-                let e0 = mesh.edge_id(&nodes[pos], &nodes[pos + 1]).0;
-                a.path.push(Mutex::new(path));
-                a.injected_at.push(p.injected_at);
-                a.rank.push(p.rank);
-                a.inj.push(p.inj);
-                a.pos.push(AtomicUsize::new(pos));
-                a.arrived.push(AtomicU64::new(p.arrived));
-                a.cur_edge.push(AtomicUsize::new(e0));
-                a.attempts.push(AtomicU32::new(p.attempts));
-                a.backoff.push(AtomicU64::new(p.backoff_until));
-                let s = map.shard_of_edge[e0] as usize;
-                shards[s].lock().unwrap().active.push(id);
-            } else {
-                a.path.push(Mutex::new(Path::trivial(
-                    mesh.coord(oblivion_mesh::NodeId(0)),
-                )));
-                a.injected_at.push(0);
-                a.rank.push(0);
-                a.inj.push(0);
-                a.pos.push(AtomicUsize::new(0));
-                a.arrived.push(AtomicU64::new(0));
-                a.cur_edge.push(AtomicUsize::new(0));
-                a.attempts.push(AtomicU32::new(0));
-                a.backoff.push(AtomicU64::new(0));
-            }
+        for p in &st.packets {
+            let e0 = a.install(mesh, p);
+            let s = map.shard_of_edge[e0] as usize;
+            shards[s].lock().unwrap().active.push(p.id as usize);
+        }
+        while a.path.len() < st.arena_len as usize {
+            a.push_dummy(mesh);
         }
         drop(a);
         for shard in &shards {
@@ -363,8 +417,7 @@ pub(crate) fn run_sharded_ckpt(
     }
     let mut stage = Stage::Begin;
     // Per-step phase timers. Inject spans Begin→Routed commit (draw +
-    // parallel routing), move spans the STEP phase + harvest, so the two
-    // phases line up with the sequential engine's split.
+    // parallel routing), move spans the STEP phase + harvest.
     let mut timer = PhaseTimer::idle();
 
     let next = || -> bool {
@@ -427,15 +480,7 @@ pub(crate) fn run_sharded_ckpt(
                                 continue;
                             }
                             let id = arena.path.len();
-                            arena.path.push(Mutex::new(path));
-                            arena.injected_at.push(t);
-                            arena.rank.push(pj.rank);
-                            arena.inj.push(pj.idx);
-                            arena.pos.push(AtomicUsize::new(0));
-                            arena.arrived.push(AtomicU64::new(t));
-                            arena.cur_edge.push(AtomicUsize::new(edge0));
-                            arena.attempts.push(AtomicU32::new(0));
-                            arena.backoff.push(AtomicU64::new(0));
+                            arena.push_fresh(path, t, pj.rank, pj.idx, edge0);
                             let s = map.shard_of_edge[edge0] as usize;
                             shards[s].lock().unwrap().active.push(id);
                             alive += 1;
@@ -483,7 +528,8 @@ pub(crate) fn run_sharded_ckpt(
                         StepObs {
                             max_group,
                             busy,
-                            shard: Some((step_handoffs, imbalance)),
+                            handoffs: step_handoffs,
+                            imbalance,
                         },
                     );
                     stage = Stage::Begin;
@@ -498,24 +544,12 @@ pub(crate) fn run_sharded_ckpt(
         return Err(stop);
     }
 
-    sp.finish(Some(ShardFinale {
+    sp.finish(ShardFinale {
         shards: shards_n,
         steals: steals.load(Ordering::Relaxed),
-    }));
+    });
 
-    // ------------------------------------------------------------------
-    // Assemble the result: per-shard pieces concatenated in shard order.
-    // ------------------------------------------------------------------
-    let mut latencies: Vec<u64> = base_latencies;
-    latencies.resize(latencies.len() + delivered_instant, 0);
-    let mut link_loads = vec![0u64; mesh.edge_count()];
-    for shard in &shards {
-        latencies.extend_from_slice(&shard.lock().unwrap().latencies);
-    }
-    for (e, load) in link_loads.iter_mut().enumerate() {
-        let s = map.shard_of_edge[e] as usize;
-        *load = shards[s].lock().unwrap().loads[map.slot_of_edge[e] as usize];
-    }
+    let (latencies, link_loads) = gather(&map, &shards, &base_latencies, delivered_instant);
     Ok(OnlineResult::assemble(
         mesh,
         steps,
@@ -523,21 +557,41 @@ pub(crate) fn run_sharded_ckpt(
         latencies,
         alive,
         link_loads,
-        Some(ShardSummary {
+        ShardSummary {
             shards: shards_n,
             handoffs: handoffs_total,
             max_imbalance,
-        }),
+        },
         sp.fstats,
     ))
+}
+
+/// The run's latencies (resumed ones, then `delivered_instant` zeros,
+/// then each shard's in shard order) and its link loads indexed by
+/// `EdgeId`, reassembled from the shard slots with each shard locked once.
+fn gather(
+    map: &ShardMap,
+    shards: &[Mutex<ShardState>],
+    base_latencies: &[u64],
+    delivered_instant: usize,
+) -> (Vec<u64>, Vec<u64>) {
+    let locked: Vec<_> = shards.iter().map(|s| s.lock().unwrap()).collect();
+    let mut latencies = base_latencies.to_vec();
+    latencies.resize(latencies.len() + delivered_instant, 0);
+    for st in &locked {
+        latencies.extend_from_slice(&st.latencies);
+    }
+    let link_loads = (map.shard_of_edge.iter().zip(&map.slot_of_edge))
+        .map(|(&s, &slot)| locked[s as usize].loads[slot as usize])
+        .collect();
+    (latencies, link_loads)
 }
 
 /// Captures the full sharded-engine state at a step boundary into a
 /// canonical [`EngineState`]: live packet ids are the union of shard
 /// active lists and the current-parity inboxes, sorted ascending, and
 /// latencies are sorted — so the bytes are independent of shard finish
-/// order and (with observability off) identical to the sequential
-/// engine's capture at the same step.
+/// order, and therefore of the thread count.
 #[allow(clippy::too_many_arguments)]
 fn capture_sharded(
     mesh: &Mesh,
@@ -561,40 +615,9 @@ fn capture_sharded(
         ids.extend(inboxes[s][(t % 2) as usize].lock().unwrap().iter().copied());
     }
     ids.sort_unstable();
-    let packets: Vec<PacketState> = ids
-        .iter()
-        .map(|&i| {
-            let path = arena.path[i].lock().unwrap();
-            PacketState {
-                id: i as u64,
-                inj: arena.inj[i],
-                injected_at: arena.injected_at[i],
-                arrived: arena.arrived[i].load(Ordering::Relaxed),
-                rank: arena.rank[i],
-                pos: arena.pos[i].load(Ordering::Relaxed) as u64,
-                attempts: arena.attempts[i].load(Ordering::Relaxed),
-                backoff_until: arena.backoff[i].load(Ordering::Relaxed),
-                path: path
-                    .nodes()
-                    .iter()
-                    .map(|c| mesh.node_id(c).0 as u64)
-                    .collect(),
-            }
-        })
-        .collect();
-    let mut latencies: Vec<u64> = Vec::with_capacity(base_latencies.len() + delivered_instant);
-    latencies.extend_from_slice(base_latencies);
-    latencies.resize(latencies.len() + delivered_instant, 0);
-    for shard in shards {
-        latencies.extend_from_slice(&shard.lock().unwrap().latencies);
-    }
+    let packets = ids.iter().map(|&i| arena.extract(mesh, i)).collect();
+    let (mut latencies, link_loads) = gather(map, shards, base_latencies, delivered_instant);
     latencies.sort_unstable();
-    let link_loads: Vec<u64> = (0..mesh.edge_count())
-        .map(|e| {
-            let s = map.shard_of_edge[e] as usize;
-            shards[s].lock().unwrap().loads[map.slot_of_edge[e] as usize]
-        })
-        .collect();
     EngineState {
         t,
         rng: scalars.rng.state(),
@@ -611,14 +634,9 @@ fn capture_sharded(
     }
 }
 
-/// One shard's contend-and-commit for step `t`: drain the parity inbox,
-/// scan the active list (compacting tombstones), pick the winner per
-/// link, and commit winners — advancing positions, recording loads and
-/// latencies, and pushing cross-shard handoffs into the next-parity
-/// inbox of the destination shard.
 /// Swaps packet `i`'s path for a freshly resampled one drawn from the
 /// plan's derived RNG, restarting it at position 0, and returns the new
-/// first edge. Mirrors the sequential engine's `resample_flight`.
+/// first edge.
 #[allow(clippy::too_many_arguments)]
 fn resample_arena(
     arena: &Arena,
@@ -649,6 +667,11 @@ fn resample_arena(
     e2
 }
 
+/// One shard's contend-and-commit for step `t`: drain the parity inbox,
+/// scan the active list (compacting tombstones), pick the winner per
+/// link, and commit winners — advancing positions, recording loads and
+/// latencies, and pushing cross-shard handoffs into the next-parity
+/// inbox of the destination shard.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn step_shard(
     arena: &Arena,
@@ -675,8 +698,7 @@ pub(crate) fn step_shard(
         st.active.append(&mut ib);
     }
     // Contention scan. A packet whose next link is down does not
-    // contend; its recovery decision runs here instead (mirroring the
-    // sequential engine's movement-phase scan).
+    // contend; its recovery decision runs here instead.
     let mut w = 0usize;
     for r in 0..st.active.len() {
         let i = st.active[r];
@@ -722,7 +744,6 @@ pub(crate) fn step_shard(
             }
         }
         st.active[w] = i;
-        let slot = map.slot_of_edge[e] as usize;
         let remaining = (arena.path[i].lock().unwrap().len() - pos) as u64;
         let key = policy_key(
             policy,
@@ -731,35 +752,22 @@ pub(crate) fn step_shard(
             remaining,
             i as u64,
         );
-        let c = st.count[slot];
-        if c == 0 {
-            st.touched.push(slot as u32);
-            st.best[slot] = key;
-            st.best_pos[slot] = w as u32;
-        } else if key < st.best[slot] {
-            st.best[slot] = key;
-            st.best_pos[slot] = w as u32;
-        }
-        st.count[slot] = c + 1;
+        st.contention.offer(map.slot_of_edge[e] as usize, key, w);
         w += 1;
     }
     st.active.truncate(w);
     // Commit winners in touch order (order-free outcomes: one winner per
     // link, keys totally ordered).
-    st.step_busy = st.touched.len() as u32;
+    st.step_busy = st.contention.busy() as u32;
     st.step_max_group = 0;
     let mut tombstoned = 0usize;
-    for ti in 0..st.touched.len() {
-        let slot = st.touched[ti] as usize;
-        st.step_max_group = st.step_max_group.max(st.count[slot]);
-        st.count[slot] = 0;
-        let (_, pid) = st.best[slot];
-        let i = pid as usize;
-        let r = st.best_pos[slot] as usize;
+    for won in st.contention.drain() {
+        st.step_max_group = st.step_max_group.max(won.group);
+        let (slot, i, r) = (won.slot, won.key.1 as usize, won.at);
         if let Some(fx) = &faults {
             // The winning traversal can still lose the packet to
-            // per-link drop (same check, in the same order, as the
-            // sequential engine's commit).
+            // per-link drop; the recovery policy then decides whether it
+            // is re-sent (from the same node) or dies.
             let e = arena.cur_edge[i].load(Ordering::Relaxed);
             if fx.plan.drops(EdgeId(e), t, arena.inj[i]) {
                 st.step_drops += 1;
@@ -822,7 +830,6 @@ pub(crate) fn step_shard(
             }
         }
     }
-    st.touched.clear();
     st.live = w - tombstoned;
 }
 
@@ -853,6 +860,31 @@ mod tests {
             }
             assert_eq!(per_shard, map.slots, "{:?}", mesh.dims());
             assert_eq!(per_shard.iter().sum::<usize>(), mesh.edge_count());
+        }
+    }
+
+    #[test]
+    fn shard_map_matches_edge_endpoints() {
+        // The layout arithmetic must agree with the definition: band of
+        // the lower axis-0 endpoint, slots numbered in `EdgeId` order.
+        for mesh in [
+            Mesh::new_mesh(&[8, 8]),
+            Mesh::new_mesh(&[4, 4, 4]),
+            Mesh::new_mesh(&[32]),
+            Mesh::new_torus(&[8, 8]),
+            Mesh::new_torus(&[3, 5]),
+            Mesh::new_mesh(&[1, 6]),
+        ] {
+            let map = ShardMap::new(&mesh);
+            let side = mesh.side(0) as usize;
+            let mut slots = vec![0u32; map.shards()];
+            for e in 0..mesh.edge_count() {
+                let (a, b) = mesh.edge_endpoints(EdgeId(e));
+                let s = a[0].min(b[0]) as usize * map.shards() / side;
+                assert_eq!(map.shard_of(EdgeId(e)), s, "{:?} edge {e}", mesh.dims());
+                assert_eq!(map.slot_of_edge[e], slots[s], "{:?} edge {e}", mesh.dims());
+                slots[s] += 1;
+            }
         }
     }
 

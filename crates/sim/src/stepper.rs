@@ -1,19 +1,17 @@
-//! The shared step protocol of every online engine.
+//! The shared step protocol of the online engines.
 //!
-//! `online.rs` (sequential), `sharded.rs` (thread pool), and `procs.rs`
-//! (process pool) used to each hand-thread the same per-step ritual —
-//! termination test, checkpoint boundary, injection draws with fault
-//! gating, fault-recovery clocks, per-step observability, finale
-//! counters — three divergent copies of one protocol, and a standing
-//! source of drift bugs. [`Stepper`] is that protocol, written once.
+//! `sharded.rs` (thread pool, or one shard worker inline) and `procs.rs`
+//! (process pool) drive the same per-step ritual — termination test,
+//! checkpoint boundary, injection draws with fault gating, fault-recovery
+//! clocks, per-step observability, finale counters. [`Stepper`] is that
+//! protocol, written once.
 //!
-//! The engines remain the pluggable *phase drivers*: each still owns its
-//! movement/contention machinery (a flight list, a sharded arena, a
-//! fleet of worker processes), but every decision that defines the
-//! simulation's deterministic outcome — when the run ends, what the main
-//! RNG draws, how a blocked packet's retry clock advances, which obs
-//! values a step emits — flows through this module. A policy change here
-//! lands in all engines at once, and the differential suites hold them
+//! The engines remain the *phase drivers*: each owns how shards are
+//! stepped (a scoped thread pool, or a fleet of worker processes), but
+//! every decision that defines the simulation's deterministic outcome —
+//! when the run ends, what the main RNG draws, how a blocked packet's
+//! retry clock advances, which obs values a step emits — flows through
+//! this module, and the differential suites hold the engines
 //! byte-identical.
 //!
 //! Step shape (driven by the engine's loop):
@@ -98,9 +96,9 @@ fn fault_decision(
 
 /// A packet's MTTR/MTBF fault-recovery clock: budget consumed so far and
 /// the step before which no further recovery decision is made. The
-/// sequential engine embeds one per flight; the sharded engine round-trips
-/// it through its arena atomics; the process workers carry it in their
-/// packet records — but the transition rules live only here.
+/// sharded engine round-trips it through its arena atomics, and process
+/// workers carry it in their packet records — but the transition rules
+/// live only here.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub(crate) struct FaultClock {
     /// Fault-recovery budget units consumed so far.
@@ -156,12 +154,6 @@ impl FaultClock {
         }
     }
 
-    /// A completed hop clears the recovery state.
-    pub(crate) fn progressed(&mut self) {
-        self.attempts = 0;
-        self.backoff_until = 0;
-    }
-
     /// Records a resample performed at step `now` with `attempts` budget
     /// units consumed; the packet may not act again before `now + 1`.
     pub(crate) fn resampled(&mut self, attempts: u32, now: u64) {
@@ -192,9 +184,10 @@ pub(crate) struct StepObs {
     pub(crate) max_group: u64,
     /// Links with at least one contender this step.
     pub(crate) busy: u64,
-    /// `Some((handoffs, imbalance))` for the shard-partitioned engines;
-    /// `None` for the sequential engine.
-    pub(crate) shard: Option<(u64, u64)>,
+    /// Cross-shard handoffs this step.
+    pub(crate) handoffs: u64,
+    /// Spread between the busiest and idlest shard's live packet count.
+    pub(crate) imbalance: u64,
 }
 
 /// Finale values of a shard-partitioned run, for [`Stepper::finish`].
@@ -432,10 +425,8 @@ impl<'fx, 'st, 'cfg> Stepper<'fx, 'st, 'cfg> {
             oblivion_obs::counter_add("online_steps", 1);
             oblivion_obs::record("queue_len_per_step", obs.max_group);
             oblivion_obs::record("busy_links_per_step", obs.busy);
-            if let Some((handoffs, imbalance)) = obs.shard {
-                oblivion_obs::counter_add("online_shard_handoffs", handoffs);
-                oblivion_obs::record("shard_imbalance_per_step", imbalance);
-            }
+            oblivion_obs::counter_add("online_shard_handoffs", obs.handoffs);
+            oblivion_obs::record("shard_imbalance_per_step", obs.imbalance);
             // End-of-step in-flight count: deterministic, so it lives on
             // the gauge side and must match across engines step for step.
             oblivion_obs::gauge_set("sim_in_flight", alive as i64);
@@ -443,16 +434,14 @@ impl<'fx, 'st, 'cfg> Stepper<'fx, 'st, 'cfg> {
         self.t += 1;
     }
 
-    /// Emits the run's finale counters (shard totals for the partitioned
-    /// engines, fault totals for faulted runs).
-    pub(crate) fn finish(&self, shard: Option<ShardFinale>) {
+    /// Emits the run's finale counters (shard totals, plus fault totals
+    /// for faulted runs).
+    pub(crate) fn finish(&self, shard: ShardFinale) {
         if !oblivion_obs::is_enabled() {
             return;
         }
-        if let Some(sf) = shard {
-            oblivion_obs::counter_add("online_shards", sf.shards as u64);
-            oblivion_obs::runtime_counter_add("online_pool_steals", sf.steals);
-        }
+        oblivion_obs::counter_add("online_shards", shard.shards as u64);
+        oblivion_obs::runtime_counter_add("online_pool_steals", shard.steals);
         if let Some(fs) = &self.fstats {
             oblivion_obs::counter_add("online_fault_blocked", fs.blocked);
             oblivion_obs::counter_add("online_fault_resamples", fs.resamples);
@@ -510,8 +499,6 @@ mod tests {
         assert_eq!(clock.adverse(&fx, 50), Adverse::Hold);
         assert_eq!(clock.attempts, 4, "past the window: budget consumed");
         assert!(clock.backoff_until > 50);
-        clock.progressed();
-        assert_eq!(clock, FaultClock::default());
     }
 
     #[test]

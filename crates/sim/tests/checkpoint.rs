@@ -1,8 +1,11 @@
 //! Differential tests for checkpoint/resume: a run that is killed at a
 //! step boundary and resumed from its newest snapshot must finish with
-//! the *exact* outcome of an uninterrupted run — for every engine,
-//! thread count, and fault plan — and a corrupted newest snapshot must
-//! fall back to the previous generation with the same guarantee.
+//! the *exact* outcome of an uninterrupted run — for every thread count,
+//! scheduling policy, and fault plan, and equal to the naive test oracle
+//! — and a corrupted newest snapshot must fall back to the previous
+//! generation with the same guarantee.
+
+mod oracle;
 
 use oblivion_ckpt::Store;
 use oblivion_faults::{FaultConfig, FaultMode, FaultPlan, RecoveryPolicy};
@@ -63,20 +66,58 @@ fn transient_cfg() -> FaultConfig {
     }
 }
 
+/// Scheduling, load and recovery of one resume configuration.
+struct Setup {
+    policy: SchedulingPolicy,
+    rate: f64,
+    recovery: RecoveryPolicy,
+    retry_budget: u32,
+}
+
+/// The resume configurations every kill-and-resume test runs: FIFO with
+/// resampling, and random-rank at a lower rate that drops after a small
+/// budget.
+const SETUPS: [Setup; 2] = [
+    Setup {
+        policy: SchedulingPolicy::Fifo,
+        rate: 0.15,
+        recovery: RecoveryPolicy::Resample,
+        retry_budget: 8,
+    },
+    Setup {
+        policy: SchedulingPolicy::RandomRank,
+        rate: 0.12,
+        recovery: RecoveryPolicy::DropAfterBudget,
+        retry_budget: 4,
+    },
+];
+
 /// Runs the kill-at-boundary + resume protocol for one configuration and
-/// asserts the final outcome matches the uninterrupted reference.
-fn assert_resume_identical(mesh: &Mesh, plan: Option<&FaultPlan>, seed: u64, threads: usize) {
+/// asserts the final outcome matches the uninterrupted reference, which
+/// itself matches the oracle.
+fn assert_resume_identical(
+    mesh: &Mesh,
+    setup: &Setup,
+    plan: Option<&FaultPlan>,
+    seed: u64,
+    threads: usize,
+) {
     let pattern = UniformTraffic::new(mesh.clone());
     let paths = random_dim_order(mesh);
-    let mut sim = OnlineSim::new(mesh, SchedulingPolicy::Fifo, 0.15);
+    let mut sim = OnlineSim::new(mesh, setup.policy, setup.rate);
     if let Some(p) = plan {
         sim = sim.with_faults(Faults {
             plan: p,
-            recovery: RecoveryPolicy::Resample,
-            retry_budget: 8,
+            recovery: setup.recovery,
+            retry_budget: setup.retry_budget,
         });
     }
     let reference: OnlineResult = sim.run_sharded(&pattern, &paths, STEPS, seed, threads);
+    let expected = oracle::run(&sim, &pattern, &paths, STEPS, seed);
+    assert!(
+        reference.same_outcome(&expected),
+        "seed={seed} threads={threads}:\n engine {reference:?}\n  vs oracle {expected:?}"
+    );
 
     let dir = tmp_dir("resume");
     let store = Store::open(&dir).unwrap();
@@ -142,9 +183,11 @@ fn assert_resume_identical(mesh: &Mesh, plan: Option<&FaultPlan>, seed: u64, thr
 #[test]
 fn killed_and_resumed_matches_uninterrupted_for_every_thread_count() {
     let mesh = Mesh::new_mesh(&[8, 8]);
-    for seed in [3, 11] {
-        for threads in THREADS {
-            assert_resume_identical(&mesh, None, seed, threads);
+    for setup in &SETUPS {
+        for seed in [3, 11] {
+            for threads in THREADS {
+                assert_resume_identical(&mesh, setup, None, seed, threads);
+            }
         }
     }
 }
@@ -157,79 +200,17 @@ fn killed_and_resumed_matches_under_transient_faults() {
         // The plan is a pure function of (mesh, cfg, seed, horizon); the
         // resumed process rematerializes it exactly as the killed one did.
         let plan = FaultPlan::new(&mesh, &cfg, seed ^ 0x5EED, 2 * STEPS);
-        for threads in THREADS {
-            assert_resume_identical(&mesh, Some(&plan), seed, threads);
+        for setup in &SETUPS {
+            for threads in THREADS {
+                assert_resume_identical(&mesh, setup, Some(&plan), seed, threads);
+            }
         }
     }
 }
 
-#[test]
-fn sequential_engine_resumes_identically_too() {
-    let mesh = Mesh::new_mesh(&[8, 8]);
-    let pattern = UniformTraffic::new(mesh.clone());
-    let paths = random_dim_order(&mesh);
-    let cfg = transient_cfg();
-    let plan = FaultPlan::new(&mesh, &cfg, 77, 2 * STEPS);
-    for plan in [None, Some(&plan)] {
-        let mut sim = OnlineSim::new(&mesh, SchedulingPolicy::RandomRank, 0.12);
-        if let Some(p) = plan {
-            sim = sim.with_faults(Faults {
-                plan: p,
-                recovery: RecoveryPolicy::DropAfterBudget,
-                retry_budget: 4,
-            });
-        }
-        let reference = sim.run(&pattern, &paths, STEPS, 5);
-        let dir = tmp_dir("seq");
-        let store = Store::open(&dir).unwrap();
-        let killed = sim.run_ckpt(
-            &pattern,
-            &paths,
-            STEPS,
-            5,
-            Some(&CheckpointCfg {
-                store: &store,
-                every: EVERY,
-                stop_at: Some(KILL_AT),
-                config_hash: 9,
-                resume_generation: 0,
-                resume_step: None,
-            }),
-            None,
-        );
-        assert!(killed.is_err());
-        let snap = store.load_latest(9).snapshot.unwrap();
-        let state = EngineState::decode(&snap.payload, &mesh).unwrap();
-        let resumed = sim
-            .run_ckpt(
-                &pattern,
-                &paths,
-                STEPS,
-                5,
-                Some(&CheckpointCfg {
-                    store: &store,
-                    every: EVERY,
-                    stop_at: None,
-                    config_hash: 9,
-                    resume_generation: snap.generation,
-                    resume_step: Some(state.t),
-                }),
-                Some(&state),
-            )
-            .unwrap();
-        assert!(
-            resumed.same_outcome(&reference),
-            "faults={}:\n resumed {resumed:?}\n  vs ref {reference:?}",
-            plan.is_some(),
-        );
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-}
-
-/// The snapshot payload is canonical: the sharded engine produces
-/// byte-identical snapshots (same CRC) at every thread count, and the
-/// sequential engine's snapshot of the same run matches field-for-field
-/// except the sharded-only statistics it reports as zero.
+/// The snapshot payload is canonical: the engine produces byte-identical
+/// snapshots (same CRC) at every thread count, and the bytes are pinned,
+/// so any change to the snapshot format or to the simulated state fails.
 #[test]
 fn snapshot_bytes_are_engine_and_thread_invariant() {
     let mesh = Mesh::new_mesh(&[8, 8]);
@@ -237,7 +218,7 @@ fn snapshot_bytes_are_engine_and_thread_invariant() {
     let paths = random_dim_order(&mesh);
     let sim = OnlineSim::new(&mesh, SchedulingPolicy::Fifo, 0.2);
     let mut crcs = Vec::new();
-    let mut run = |threads: Option<usize>| {
+    let mut run = |threads: usize| {
         let dir = tmp_dir("canon");
         let store = Store::open(&dir).unwrap();
         let cfg = CheckpointCfg {
@@ -248,42 +229,24 @@ fn snapshot_bytes_are_engine_and_thread_invariant() {
             resume_generation: 0,
             resume_step: None,
         };
-        let res = match threads {
-            None => sim.run_ckpt(&pattern, &paths, STEPS, 13, Some(&cfg), None),
-            Some(n) => sim.run_sharded_ckpt(&pattern, &paths, STEPS, 13, n, Some(&cfg), None),
-        };
+        let res = sim.run_sharded_ckpt(&pattern, &paths, STEPS, 13, threads, Some(&cfg), None);
         assert!(res.is_err(), "stop_at must interrupt");
         let snap = store.load_latest(1).snapshot.unwrap();
         assert_eq!(snap.step, 60);
         crcs.push((threads, snap.checksum, snap.payload));
         let _ = std::fs::remove_dir_all(&dir);
     };
-    run(None);
     for threads in THREADS {
-        run(Some(threads));
+        run(threads);
     }
-    // Sharded snapshots: bit-identical at every thread count.
-    for (threads, crc, payload) in &crcs[2..] {
+    for (threads, crc, payload) in &crcs[1..] {
         assert_eq!(
             (crc, payload),
-            (&crcs[1].1, &crcs[1].2),
-            "snapshot for threads={threads:?} differs from threads=1"
+            (&crcs[0].1, &crcs[0].2),
+            "snapshot for threads={threads} differs from threads=1"
         );
     }
-    // Sequential snapshot: same state, modulo the sharded-only counters.
-    let seq = EngineState::decode(&crcs[0].2, &mesh).unwrap();
-    let shd = EngineState::decode(&crcs[1].2, &mesh).unwrap();
-    assert_eq!(seq.handoffs_total, 0);
-    assert_eq!(seq.max_imbalance, 0);
-    assert_eq!(seq.t, shd.t);
-    assert_eq!(seq.rng, shd.rng);
-    assert_eq!(seq.injected, shd.injected);
-    assert_eq!(seq.inj_idx, shd.inj_idx);
-    assert_eq!(seq.arena_len, shd.arena_len);
-    assert_eq!(seq.latencies, shd.latencies);
-    assert_eq!(seq.link_loads, shd.link_loads);
-    assert_eq!(seq.packets, shd.packets);
-    assert_eq!(seq.fstats, shd.fstats);
+    assert_eq!(crcs[0].1, 0xebef_0b43, "step-60 snapshot bytes changed");
 }
 
 /// Single-byte corruption of the newest snapshot falls back to the

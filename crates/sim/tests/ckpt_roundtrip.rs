@@ -1,8 +1,11 @@
 //! Property tests for checkpoint serialization: snapshot → restore →
-//! continue must equal running straight through, for randomly drawn
-//! configurations of both engines; the payload codec must round-trip
+//! continue must equal running straight through (and the naive test
+//! oracle), for randomly drawn configurations and thread counts; the
+//! payload codec must round-trip
 //! bit-exactly; and the RNG / fault-plan state a snapshot relies on must
 //! rematerialize identically.
+
+mod oracle;
 
 use oblivion_ckpt::Store;
 use oblivion_faults::{FaultConfig, FaultMode, FaultPlan, RecoveryPolicy};
@@ -47,9 +50,8 @@ fn random_dim_order(mesh: &Mesh) -> impl Fn(&Coord, &Coord, &mut StdRng) -> Path
 }
 
 /// Kills a run at `kill_at` (saving every `every` steps), resumes it from
-/// the newest snapshot, and asserts the final outcome equals the
-/// uninterrupted reference. Exercises the sequential engine when
-/// `threads == 0`, the sharded one otherwise.
+/// the newest snapshot, and asserts the final outcome equals the oracle's
+/// uninterrupted run.
 fn check_resume(
     mesh: &Mesh,
     fault_cfg: Option<&FaultConfig>,
@@ -70,11 +72,7 @@ fn check_resume(
             retry_budget: 6,
         });
     }
-    let reference = if threads == 0 {
-        sim.run(&pattern, &paths, steps, seed)
-    } else {
-        sim.run_sharded(&pattern, &paths, steps, seed, threads)
-    };
+    let reference = oracle::run(&sim, &pattern, &paths, steps, seed);
     let dir = tmp_dir("resume");
     let store = Store::open(&dir).unwrap();
     let hash = seed ^ 0xCC;
@@ -86,26 +84,15 @@ fn check_resume(
         resume_generation,
         resume_step,
     };
-    let killed = if threads == 0 {
-        sim.run_ckpt(
-            &pattern,
-            &paths,
-            steps,
-            seed,
-            Some(&cfg(0, None, Some(kill_at))),
-            None,
-        )
-    } else {
-        sim.run_sharded_ckpt(
-            &pattern,
-            &paths,
-            steps,
-            seed,
-            threads,
-            Some(&cfg(0, None, Some(kill_at))),
-            None,
-        )
-    };
+    let killed = sim.run_sharded_ckpt(
+        &pattern,
+        &paths,
+        steps,
+        seed,
+        threads,
+        Some(&cfg(0, None, Some(kill_at))),
+        None,
+    );
     prop_assert!(killed.is_err(), "stop_at must interrupt the run");
     let snap = store
         .load_latest(hash)
@@ -113,10 +100,8 @@ fn check_resume(
         .expect("at least one periodic snapshot before the kill");
     let state = EngineState::decode(&snap.payload, mesh).unwrap();
     let ck = cfg(snap.generation, Some(state.t), None);
-    let resumed = if threads == 0 {
-        sim.run_ckpt(&pattern, &paths, steps, seed, Some(&ck), Some(&state))
-    } else {
-        sim.run_sharded_ckpt(
+    let resumed = sim
+        .run_sharded_ckpt(
             &pattern,
             &paths,
             steps,
@@ -125,8 +110,7 @@ fn check_resume(
             Some(&ck),
             Some(&state),
         )
-    }
-    .expect("resumed run completes");
+        .expect("resumed run completes");
     prop_assert!(
         resumed.same_outcome(&reference),
         "threads={threads} seed={seed} every={every} kill_at={kill_at}:\n \
@@ -139,17 +123,17 @@ fn check_resume(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// serialize → deserialize → step == step-without-snapshot, both
-    /// engines, with and without a fault plan.
+    /// serialize → deserialize → step == step-without-snapshot, at
+    /// several thread counts, with and without a fault plan.
     #[test]
     fn resume_equals_straight_run(
         seed in 0u64..1_000,
         every in 10u64..40,
         kill_frac in 3u64..8,
-        threads_idx in 0usize..4,
+        threads_idx in 0usize..3,
         with_faults in any::<bool>(),
     ) {
-        let threads = [0usize, 1, 2, 8][threads_idx];
+        let threads = [1usize, 2, 8][threads_idx];
         let mesh = Mesh::new_mesh(&[6, 6]);
         let steps = 100u64;
         let kill_at = (steps * kill_frac / 8).max(every + 1);

@@ -3,13 +3,15 @@
 //! The contract under test:
 //!
 //! * the sharded engine produces the exact same outcome (including every
-//!   fault tally) as the sequential reference, for every thread count,
+//!   fault tally) as the naive test oracle, for every thread count,
 //!   fault mode, and recovery policy;
 //! * attaching a trivial plan changes nothing but the presence of the
 //!   (all-zero) fault statistics;
 //! * no delivered packet ever traverses a permanently-down link; and
 //! * packets are conserved: every injected packet is delivered, dead, or
 //!   still in flight at the horizon.
+
+mod oracle;
 
 use oblivion_faults::{FaultConfig, FaultMode, FaultPlan, RecoveryPolicy};
 use oblivion_mesh::{Coord, Mesh, Path};
@@ -57,7 +59,7 @@ fn run_pair(
         recovery,
         retry_budget: 8,
     });
-    let reference = sim.run(&pattern, &paths, steps, seed);
+    let reference = oracle::run(&sim, &pattern, &paths, steps, seed);
     let sharded = THREADS
         .iter()
         .map(|&threads| sim.run_sharded(&pattern, &paths, steps, seed, threads))
@@ -66,7 +68,7 @@ fn run_pair(
 }
 
 #[test]
-fn fault_runs_match_sequential_for_every_mode_and_policy() {
+fn fault_runs_match_oracle_for_every_mode_and_policy() {
     let mesh = Mesh::new_mesh(&[8, 8]);
     for mode in [FaultMode::Permanent, FaultMode::Transient] {
         for recovery in [
@@ -89,7 +91,7 @@ fn fault_runs_match_sequential_for_every_mode_and_policy() {
             for (r, &threads) in sharded.iter().zip(&THREADS) {
                 assert!(
                     r.same_outcome(&reference),
-                    "{mode:?}/{recovery:?} threads={threads}:\n sharded {r:?}\n  vs seq {reference:?}"
+                    "{mode:?}/{recovery:?} threads={threads}:\n sharded {r:?}\n  vs oracle {reference:?}"
                 );
             }
         }
@@ -97,7 +99,7 @@ fn fault_runs_match_sequential_for_every_mode_and_policy() {
 }
 
 #[test]
-fn node_faults_match_sequential_across_threads() {
+fn node_faults_match_oracle_across_threads() {
     let mesh = Mesh::new_mesh(&[8, 8]);
     let cfg = FaultConfig {
         node_fail_prob: 0.05,
@@ -166,8 +168,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// No delivered packet traverses a down link: every link the plan
-    /// holds down for the whole run records zero traversals — in both
-    /// engines — and packets are conserved.
+    /// holds down for the whole run records zero traversals — in the
+    /// engine and the oracle — and packets are conserved.
     #[test]
     fn down_links_carry_no_traffic(
         seed in any::<u64>(),
@@ -196,9 +198,9 @@ proptest! {
             recovery,
             retry_budget: 6,
         });
-        let seq = sim.run(&pattern, &paths, 80, seed);
+        let seq = oracle::run(&sim, &pattern, &paths, 80, seed);
         let par = sim.run_sharded(&pattern, &paths, 80, seed, 4);
-        prop_assert!(par.same_outcome(&seq), "sharded diverged from sequential");
+        prop_assert!(par.same_outcome(&seq), "sharded diverged from the oracle");
         for e in 0..mesh.edge_count() {
             if plan.link_always_down(oblivion_mesh::EdgeId(e)) {
                 prop_assert_eq!(

@@ -1,7 +1,9 @@
 //! Differential tests: the sharded parallel engine must produce the
-//! exact same simulation outcome as the sequential reference — for every
+//! exact same simulation outcome as the naive test oracle — for every
 //! thread count, policy, traffic pattern, and mesh shape — and its
 //! deterministic shard statistics must not depend on the thread count.
+
+mod oracle;
 
 use oblivion_mesh::{Coord, Mesh, Path};
 use oblivion_sim::{
@@ -25,7 +27,7 @@ fn shortest_paths(mesh: &Mesh) -> impl Fn(&Coord, &Coord, &mut StdRng) -> Path +
     }
 }
 
-/// Asserts the sharded run matches the sequential reference bit-for-bit
+/// Asserts the sharded run matches the oracle bit-for-bit
 /// at every thread count, and that the shard summary is identical across
 /// thread counts.
 fn assert_equivalent(
@@ -38,13 +40,13 @@ fn assert_equivalent(
 ) {
     let sim = OnlineSim::new(mesh, policy, rate);
     let paths = shortest_paths(mesh);
-    let reference: OnlineResult = sim.run(pattern, &paths, steps, seed);
+    let reference: OnlineResult = oracle::run(&sim, pattern, &paths, steps, seed);
     let mut summaries = Vec::new();
     for threads in THREADS {
         let sharded = sim.run_sharded(pattern, &paths, steps, seed, threads);
         assert!(
             sharded.same_outcome(&reference),
-            "threads={threads} policy={policy:?} dims={:?}:\n sharded {sharded:?}\n  vs seq {reference:?}",
+            "threads={threads} policy={policy:?} dims={:?}:\n sharded {sharded:?}\n  vs oracle {reference:?}",
             mesh.dims(),
         );
         summaries.push(sharded.sharding.expect("sharded run reports a summary"));
@@ -58,7 +60,7 @@ fn assert_equivalent(
 }
 
 #[test]
-fn matches_sequential_on_2d_mesh_all_policies() {
+fn matches_oracle_on_2d_mesh_all_policies() {
     let mesh = Mesh::new_mesh(&[8, 8]);
     let pattern = UniformTraffic::new(mesh.clone());
     for policy in [
@@ -72,7 +74,7 @@ fn matches_sequential_on_2d_mesh_all_policies() {
 }
 
 #[test]
-fn matches_sequential_on_3d_mesh() {
+fn matches_oracle_on_3d_mesh() {
     let mesh = Mesh::new_mesh(&[4, 4, 4]);
     let pattern = UniformTraffic::new(mesh.clone());
     assert_equivalent(&mesh, SchedulingPolicy::Fifo, 0.1, &pattern, 120, 7);
@@ -80,7 +82,7 @@ fn matches_sequential_on_3d_mesh() {
 }
 
 #[test]
-fn matches_sequential_on_1d_line() {
+fn matches_oracle_on_1d_line() {
     // side(0) = 4 < MAX_SHARDS: exercises the few-shards path where most
     // steps hand packets across shard boundaries.
     let mesh = Mesh::new_mesh(&[4]);
@@ -89,7 +91,7 @@ fn matches_sequential_on_1d_line() {
 }
 
 #[test]
-fn matches_sequential_on_torus() {
+fn matches_oracle_on_torus() {
     let mesh = Mesh::new_torus(&[8, 8]);
     let pattern = UniformTraffic::new(mesh.clone());
     assert_equivalent(
@@ -103,7 +105,7 @@ fn matches_sequential_on_torus() {
 }
 
 #[test]
-fn matches_sequential_under_transpose_traffic() {
+fn matches_oracle_under_transpose_traffic() {
     let mesh = Mesh::new_mesh(&[16, 16]);
     let pattern = FixedTraffic {
         pattern_name: "transpose".into(),
@@ -113,7 +115,7 @@ fn matches_sequential_under_transpose_traffic() {
 }
 
 #[test]
-fn matches_sequential_under_saturation() {
+fn matches_oracle_under_saturation() {
     // Heavy congestion: long queues, many handoffs, full drain phase.
     let mesh = Mesh::new_mesh(&[8, 8]);
     let pattern = UniformTraffic::new(mesh.clone());
@@ -124,12 +126,12 @@ fn matches_sequential_under_saturation() {
 fn link_load_totals_conserve_traffic() {
     // Fully drained run: every delivered packet of length L contributes
     // exactly L traversals, so total load equals total delivered hops in
-    // both engines.
+    // both the engine and the oracle.
     let mesh = Mesh::new_mesh(&[8, 8]);
     let pattern = UniformTraffic::new(mesh.clone());
     let sim = OnlineSim::new(&mesh, SchedulingPolicy::Fifo, 0.03);
     let paths = shortest_paths(&mesh);
-    let seq = sim.run(&pattern, &paths, 200, 21);
+    let seq = oracle::run(&sim, &pattern, &paths, 200, 21);
     let par = sim.run_sharded(&pattern, &paths, 200, 21, 4);
     assert_eq!(seq.in_flight, 0, "low-rate run should drain");
     assert_eq!(seq.link_loads, par.link_loads);

@@ -1,5 +1,8 @@
 //! Property tests for the synchronous simulator: conservation, capacity,
-//! and the C/D lower bounds, on randomly routed random workloads.
+//! the C/D lower bounds, and agreement with the naive test oracle, on
+//! randomly routed random workloads.
+
+mod oracle;
 
 use oblivion_core::{route_all, BuschD, Valiant};
 use oblivion_mesh::{Coord, Mesh};
@@ -7,7 +10,7 @@ use oblivion_metrics::PathSetMetrics;
 use oblivion_sim::{SchedulingPolicy, Simulation};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 fn scenario() -> impl Strategy<Value = (usize, u32, Vec<(usize, usize)>, u64)> {
     (1usize..=3, 2u32..=4)
@@ -87,5 +90,33 @@ proptest! {
         prop_assert_eq!(r1.delivery, r2.delivery);
         prop_assert_eq!(r1.makespan, r2.makespan);
         prop_assert_eq!(r1.max_contention, r2.max_contention);
+    }
+
+    /// The offline engine equals the oracle field for field, for every
+    /// policy, with random per-packet delays (and without delays).
+    #[test]
+    fn matches_oracle_with_random_delays((d, k, raw_pairs, seed) in scenario()) {
+        let mesh = Mesh::new_mesh(&vec![1u32 << k; d]);
+        let pairs: Vec<(Coord, Coord)> = raw_pairs
+            .iter()
+            .map(|&(a, b)| {
+                (mesh.coord(oblivion_mesh::NodeId(a)), mesh.coord(oblivion_mesh::NodeId(b)))
+            })
+            .collect();
+        let mut rng = StdRng::seed_from_u64(seed);
+        let router = Valiant::new(mesh.clone());
+        let paths = route_all(&router, &pairs, &mut rng);
+        let delays: Vec<u64> = paths.iter().map(|_| rng.gen_range(0..=8)).collect();
+        for policy in policies() {
+            for delays in [None, Some(delays.as_slice())] {
+                let got = Simulation::new(&mesh, paths.clone()).run_with_delays(policy, seed, delays);
+                let want = oracle::simulate(&mesh, &paths, policy, seed, delays);
+                prop_assert_eq!(got.makespan, want.makespan, "{:?}", policy);
+                prop_assert_eq!(&got.delivery, &want.delivery, "{:?}", policy);
+                prop_assert_eq!(got.total_moves, want.total_moves);
+                prop_assert_eq!(got.max_contention, want.max_contention, "{:?}", policy);
+                prop_assert_eq!(got.max_queue, want.max_queue, "{:?}", policy);
+            }
+        }
     }
 }
