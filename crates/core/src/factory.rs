@@ -56,6 +56,13 @@ pub fn parse_mesh_spec(spec: &str, torus: bool) -> Result<Mesh, String> {
     ))
 }
 
+/// Whether the router named `name` runs on a torus, so a mesh spec given
+/// alongside it is read as one. The CLI and the serving layer's
+/// `ADMIN ADD` infer the topology from this instead of a flag.
+pub fn implies_torus(name: &str) -> bool {
+    name == "busch-torus"
+}
+
 /// Builds a router by name, validating the mesh shape the algorithm
 /// requires (so callers report an error instead of panicking).
 pub fn build_router(name: &str, mesh: &Mesh) -> Result<Box<dyn ObliviousRouter>, String> {
@@ -113,11 +120,7 @@ mod tests {
         let mesh = parse_mesh_spec("8x8", false).unwrap();
         let torus = parse_mesh_spec("8x8", true).unwrap();
         for name in ROUTER_NAMES {
-            let m = if *name == "busch-torus" {
-                &torus
-            } else {
-                &mesh
-            };
+            let m = if implies_torus(name) { &torus } else { &mesh };
             let r = build_router(name, m).unwrap_or_else(|e| panic!("{name}: {e}"));
             assert!(r.state_bytes() > 0, "{name} reports zero routing state");
         }

@@ -58,7 +58,7 @@ pub use busch_torus::BuschTorus;
 pub use buschd::{stretch_bound, BuschD};
 pub use chain::{path_through_chain, path_through_chain_clipped, RandomnessMode};
 pub use choices::{bits_lower_bound, ChoiceProfile};
-pub use factory::{build_router, parse_mesh_spec, ROUTER_NAMES};
+pub use factory::{build_router, implies_torus, parse_mesh_spec, ROUTER_NAMES};
 pub use offline::{route_min_congestion, OfflineConfig};
 pub use padded::BuschPadded;
 pub use parallel::{route_all_parallel, route_all_seeded};

@@ -44,10 +44,9 @@ pub mod report;
 
 pub use json::Json;
 pub use registry::{
-    capture_events, counter_add, disable, enable, gauge_add, gauge_set, is_enabled,
-    merge_deterministic, record, record_runtime, reset, restore_deterministic, runtime_counter_add,
-    snapshot, span, take_deterministic, update, Batch, Histogram, Snapshot, SpanGuard, SpanStats,
-    HISTOGRAM_BUCKETS,
+    capture_events, counter_add, disable, enable, gauge_add, gauge_set, is_enabled, record,
+    record_runtime, reset, restore_deterministic, runtime_counter_add, snapshot, span, update,
+    Batch, Histogram, Snapshot, SpanGuard, SpanStats, HISTOGRAM_BUCKETS,
 };
 pub use report::{
     histogram_from_json, histogram_json, parse_jsonl, parse_jsonl_lossy, render, report_schemas,

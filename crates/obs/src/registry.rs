@@ -458,72 +458,6 @@ pub fn restore_deterministic(counters: &[(String, u64)], histograms: &[(String, 
         .collect();
 }
 
-/// Named counter deltas, in the owned form they cross process
-/// boundaries in (the registry itself keys by `&'static str`).
-pub type CounterDeltas = Vec<(String, u64)>;
-
-/// Named histogram deltas, in the owned cross-process form.
-pub type HistogramDeltas = Vec<(String, Histogram)>;
-
-/// Removes and returns the **deterministic** registry contents —
-/// counters and histograms — leaving the runtime/wall-clock side in
-/// place. Returns empty vectors when disabled.
-///
-/// This is the shipping half of cross-process metrics: a multi-process
-/// worker drains its deterministic observations after every step and
-/// sends them to the supervisor, which folds them in with
-/// [`merge_deterministic`]. Draining (rather than snapshotting) makes
-/// each shipment a delta, so re-sends after a crash replay can simply be
-/// discarded.
-pub fn take_deterministic() -> (CounterDeltas, HistogramDeltas) {
-    if !is_enabled() {
-        return (Vec::new(), Vec::new());
-    }
-    let mut reg = registry().lock().unwrap();
-    let counters = std::mem::take(&mut reg.counters)
-        .into_iter()
-        .map(|(k, v)| (k.to_string(), v))
-        .collect();
-    let histograms = std::mem::take(&mut reg.histograms)
-        .into_iter()
-        .map(|(k, v)| (k.to_string(), v))
-        .collect();
-    (counters, histograms)
-}
-
-/// Folds deterministic observations captured in another process into
-/// this registry: counters are added, histograms merged
-/// ([`Histogram::merge`]). Both operations are commutative and
-/// associative, so the fold order across processes does not affect the
-/// result. No-op when disabled.
-///
-/// Names are interned with `Box::leak` only on first sight; repeated
-/// merges of the same names (once per step per worker) allocate nothing.
-pub fn merge_deterministic(counters: &[(String, u64)], histograms: &[(String, Histogram)]) {
-    if !is_enabled() {
-        return;
-    }
-    let mut reg = registry().lock().unwrap();
-    for (k, v) in counters {
-        match reg.counters.get_mut(k.as_str()) {
-            Some(slot) => *slot += v,
-            None => {
-                reg.counters
-                    .insert(&*Box::leak(k.clone().into_boxed_str()), *v);
-            }
-        }
-    }
-    for (k, h) in histograms {
-        match reg.histograms.get_mut(k.as_str()) {
-            Some(slot) => slot.merge(h),
-            None => {
-                reg.histograms
-                    .insert(&*Box::leak(k.clone().into_boxed_str()), h.clone());
-            }
-        }
-    }
-}
-
 /// Clears all counters, gauges, histograms, spans, and captured events.
 /// The enabled flag and event-capture setting are unchanged.
 pub fn reset() {
@@ -774,30 +708,6 @@ mod tests {
         assert_eq!(name, "restored_h");
         assert_eq!(rh.count, 3);
         assert_eq!(rh.sum, 24);
-    }
-
-    #[test]
-    fn take_and_merge_ship_deltas_across_registries() {
-        let _guard = serial();
-        enable();
-        reset();
-        counter_add("hits", 2);
-        record("h", 4);
-        let (c, h) = take_deterministic();
-        // Drained: the deterministic side is empty until new activity.
-        assert!(snapshot().counters.is_empty());
-        assert!(snapshot().histograms.is_empty());
-        counter_add("hits", 1);
-        record("h", 16);
-        merge_deterministic(&c, &h);
-        let snap = snapshot();
-        disable();
-        assert_eq!(snap.counters, vec![("hits".to_string(), 3)]);
-        let (_, hh) = &snap.histograms[0];
-        assert_eq!(hh.count, 2);
-        assert_eq!(hh.sum, 20);
-        assert_eq!(hh.min, 4);
-        assert_eq!(hh.max, 16);
     }
 
     #[test]

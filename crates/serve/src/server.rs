@@ -77,7 +77,9 @@ use crate::queue::{Bounded, Pop};
 use crate::registry::{Registry, Resolved, RouterHandle, Tenant};
 use crate::stats::{ChaosEvent, Counter, Phase, ServeStats, StatsSnapshot};
 use crate::wire::{self, ErrorKind, Framed, Request, MAX_REQUEST_LINE};
-use oblivion_core::{build_router, parse_mesh_spec, ObliviousRouter, PathQuery, RoutedPath};
+use oblivion_core::{
+    build_router, implies_torus, parse_mesh_spec, ObliviousRouter, PathQuery, RoutedPath,
+};
 use oblivion_obs::Json;
 use oblivion_signal::{Latch, PollFd, Waker};
 use oblivion_sim::pool::run_crew;
@@ -1558,7 +1560,7 @@ fn handle_admin<'a>(verb: &str, registry: &'a Registry<'a>, ctl: &Control) -> St
         }
         Some("ADD") => match (it.next(), it.next(), it.next(), it.next()) {
             (Some(id), Some(spec), Some(router), None) => {
-                parse_mesh_spec(spec, router == "busch-torus")
+                parse_mesh_spec(spec, implies_torus(router))
                     .and_then(|mesh| build_router(router, &mesh))
                     .and_then(|r| registry.add(id, RouterHandle::Owned(r)))
                     .map(|bytes| {

@@ -1,7 +1,7 @@
-//! Checkpoint capture/restore for the online engines.
+//! Checkpoint capture/restore for the online engine.
 //!
 //! The serialized unit is an [`EngineState`]: everything the online
-//! engines need to continue a run as if it had never stopped
+//! engine needs to continue a run as if it had never stopped
 //! — the main injection RNG state, the injection cursor, every in-flight
 //! packet (path, position, scheduling rank, fault-recovery clocks), the
 //! accumulated latencies and link loads, fault tallies, and (when
@@ -9,7 +9,7 @@
 //!
 //! **Canonical bytes.** Packets are sorted by id and latencies by value
 //! at capture time, so the payload for a given `(config, seed, step)` is
-//! byte-identical no matter how many threads or processes produced it —
+//! byte-identical no matter how many threads produced it —
 //! the snapshot CRC doubles as an engine-invariant fingerprint.
 //!
 //! **Identity preservation.** Packet ids are arena indices, and
@@ -25,7 +25,7 @@ use oblivion_mesh::{Mesh, NodeId, Path};
 use oblivion_obs::{Histogram, HISTOGRAM_BUCKETS};
 
 /// Checkpointing policy for one run, handed to
-/// [`crate::OnlineSim::run_sharded_ckpt`] / [`crate::OnlineSim::run_procs_ckpt`].
+/// [`crate::OnlineSim::run_sharded_ckpt`].
 pub struct CheckpointCfg<'a> {
     /// Where snapshots are written (two-generation atomic store).
     pub store: &'a Store,
@@ -117,11 +117,8 @@ impl PacketState {
     }
 }
 
-/// Appends one packet to a writer — the unit shared by the snapshot
-/// payload and the multi-process engine's handoff messages, so a packet
-/// crossing a process boundary has exactly the bytes it would have in a
-/// checkpoint.
-pub(crate) fn encode_packet(w: &mut ByteWriter, p: &PacketState) {
+/// Appends one packet of the snapshot payload to a writer.
+fn encode_packet(w: &mut ByteWriter, p: &PacketState) {
     w.u64(p.id);
     w.u64(p.inj);
     w.u64(p.injected_at);
@@ -135,7 +132,7 @@ pub(crate) fn encode_packet(w: &mut ByteWriter, p: &PacketState) {
 
 /// Reads one packet (structural decode only; cross-packet invariants
 /// like id ordering and mesh validity are the caller's checks).
-pub(crate) fn decode_packet(r: &mut ByteReader<'_>) -> Result<PacketState, CkptError> {
+fn decode_packet(r: &mut ByteReader<'_>) -> Result<PacketState, CkptError> {
     Ok(PacketState {
         id: r.u64("packet.id")?,
         inj: r.u64("packet.inj")?,
@@ -416,29 +413,6 @@ pub(crate) fn capture_obs() -> Option<ObsState> {
     })
 }
 
-/// What the checkpoint driver wants done at a step boundary, decided
-/// *once* per boundary (the shutdown-signal read is latched into the
-/// decision, so an engine that must gather state before saving — the
-/// multi-process supervisor — sees the same answer the commit does).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum BoundaryAction {
-    /// Proceed with the step; no snapshot needed.
-    Run,
-    /// Simulated kill ([`CheckpointCfg::stop_at`]): stop without saving.
-    Stop,
-    /// Graceful shutdown: save a snapshot, then stop.
-    SaveStop,
-    /// Periodic cadence: save a snapshot, then proceed.
-    Save,
-}
-
-impl BoundaryAction {
-    /// Whether this action consumes a captured [`EngineState`].
-    pub(crate) fn saves(self) -> bool {
-        matches!(self, BoundaryAction::SaveStop | BoundaryAction::Save)
-    }
-}
-
 /// Per-run checkpoint driver: decides, at each step boundary, whether to
 /// stop, save, or continue. Owned by the engine's coordinator; `capture`
 /// is only invoked when a snapshot is actually needed.
@@ -453,54 +427,39 @@ impl<'a, 'b> Driver<'a, 'b> {
         Self { cfg, next_gen }
     }
 
-    /// Decides the boundary action for step `t`.
-    pub(crate) fn decide(&self, t: u64) -> BoundaryAction {
+    /// Runs the protocol for the boundary before step `t`: the `stop_at`
+    /// kill hook stops dead, a shutdown signal saves and stops, and the
+    /// periodic cadence saves and proceeds. Returns `Some` when the
+    /// engine must stop and propagate the reason.
+    pub(crate) fn boundary(
+        &mut self,
+        t: u64,
+        capture: impl FnOnce() -> EngineState,
+    ) -> Option<StopReason> {
         if self.cfg.stop_at == Some(t) {
             // Simulated kill: stop dead, saving nothing.
-            return BoundaryAction::Stop;
+            return Some(StopReason::Interrupted(Interrupted {
+                step: t,
+                generation: None,
+            }));
         }
         if oblivion_ckpt::signal::shutdown_requested() {
-            return BoundaryAction::SaveStop;
+            return Some(match self.save(t, capture()) {
+                Ok(generation) => StopReason::Interrupted(Interrupted {
+                    step: t,
+                    generation: Some(generation),
+                }),
+                Err(e) => StopReason::Error(e),
+            });
         }
         if self.cfg.every > 0
             && t > 0
             && t.is_multiple_of(self.cfg.every)
             && self.cfg.resume_step != Some(t)
         {
-            return BoundaryAction::Save;
+            return self.save(t, capture()).err().map(StopReason::Error);
         }
-        BoundaryAction::Run
-    }
-
-    /// Commits a decided action; `state` must be `Some` iff
-    /// [`BoundaryAction::saves`]. Returns `Some` when the engine must
-    /// stop and propagate the reason.
-    pub(crate) fn act(
-        &mut self,
-        t: u64,
-        action: BoundaryAction,
-        state: Option<EngineState>,
-    ) -> Option<StopReason> {
-        match action {
-            BoundaryAction::Run => None,
-            BoundaryAction::Stop => Some(StopReason::Interrupted(Interrupted {
-                step: t,
-                generation: None,
-            })),
-            BoundaryAction::SaveStop => {
-                Some(match self.save(t, state.expect("SaveStop captures")) {
-                    Ok(generation) => StopReason::Interrupted(Interrupted {
-                        step: t,
-                        generation: Some(generation),
-                    }),
-                    Err(e) => StopReason::Error(e),
-                })
-            }
-            BoundaryAction::Save => self
-                .save(t, state.expect("Save captures"))
-                .err()
-                .map(StopReason::Error),
-        }
+        None
     }
 
     fn save(&mut self, t: u64, state: EngineState) -> Result<u64, CkptError> {

@@ -1,10 +1,10 @@
 //! The one-packet-per-link rule, written once.
 //!
-//! Every engine — the online shards ([`crate::sharded::step_shard`], which
-//! the process workers also run) and the offline [`crate::Simulation`] —
-//! offers each waiting packet's link and scheduling key here, then takes
-//! back one winner per link: the minimum key (see
-//! [`crate::online::policy_key`]), with the size of the group it beat.
+//! Every engine — the online shards (`sharded::step_shard`) and the
+//! offline [`crate::Simulation`] — offers each waiting packet's link and
+//! scheduling key here, then takes back one winner per link: the minimum
+//! key (see [`crate::online::policy_key`]), with the size of the group it
+//! beat.
 
 /// Dense per-link contention state for one step, reused across steps.
 /// Links are a caller-chosen dense slot index (a shard's slots, or raw

@@ -27,7 +27,6 @@ pub mod checkpoint;
 mod contend;
 pub mod online;
 pub mod pool;
-pub mod procs;
 pub mod sharded;
 mod stepper;
 pub use checkpoint::{CheckpointCfg, EngineState, Interrupted, StopReason};

@@ -114,8 +114,7 @@ pub struct Faults<'a> {
 
 /// Graceful-degradation tallies of a faulted run; `None` on
 /// [`OnlineResult::faults`] when no fault plan was attached. All fields
-/// are order-free sums, so they are bit-identical at any thread or
-/// process count.
+/// are order-free sums, so they are bit-identical at any thread count.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct FaultStats {
     /// Packets abandoned after exhausting their retry budget, plus those
@@ -210,13 +209,14 @@ pub struct OnlineResult {
     pub p95_latency: f64,
     /// Packets still in flight at the horizon.
     pub in_flight: usize,
-    /// Delivered packets per node per step — the accepted throughput.
+    /// Delivered packets per node per step — the accepted throughput
+    /// (`0.0` for a 0-step run).
     pub throughput: f64,
     /// Total traversals of each link over the run, indexed by `EdgeId` —
     /// the online analogue of the offline congestion map.
     pub link_loads: Vec<u64>,
     /// Shard statistics of the run (always `Some` from the online
-    /// engines; [`OnlineResult::same_outcome`] ignores them).
+    /// engine; [`OnlineResult::same_outcome`] ignores them).
     pub sharding: Option<ShardSummary>,
     /// Fault tallies when a fault plan was attached; `None` otherwise.
     pub faults: Option<FaultStats>,
@@ -257,7 +257,11 @@ impl OnlineResult {
             mean_latency,
             p95_latency,
             in_flight,
-            throughput: delivered as f64 / (mesh.node_count() as f64 * steps as f64),
+            throughput: if steps > 0 {
+                delivered as f64 / (mesh.node_count() as f64 * steps as f64)
+            } else {
+                0.0
+            },
             link_loads,
             sharding: Some(sharding),
             faults,
@@ -277,8 +281,7 @@ impl OnlineResult {
     /// `true` when two runs produced the same simulation outcome —
     /// every field except [`Self::sharding`], which records *how* the
     /// work was organized rather than *what* happened. Used by the
-    /// differential tests comparing thread counts, process counts, and
-    /// the test oracle.
+    /// differential tests comparing thread counts and the test oracle.
     pub fn same_outcome(&self, other: &Self) -> bool {
         self.steps == other.steps
             && self.injected == other.injected
@@ -399,33 +402,6 @@ impl<'a> OnlineSim<'a> {
     ) -> Result<OnlineResult, StopReason> {
         crate::sharded::run_sharded_ckpt(self, pattern, paths, steps, seed, threads, ckpt, resume)
     }
-
-    /// Runs the same simulation on the supervised **multi-process**
-    /// engine: this process becomes the supervisor (injection, routing,
-    /// step barrier) and `pcfg.procs` child worker processes step the
-    /// spatial shards, exchanging boundary handoffs over checksummed
-    /// pipes (see [`crate::procs`]).
-    ///
-    /// Deterministic: the outcome matches [`Self::run_sharded`] byte for
-    /// byte at any process count — even when a worker dies mid-run and is
-    /// restored from its shadow snapshot, because a worker's state is a
-    /// pure function of the shadow plus the replayed step messages.
-    ///
-    /// # Panics
-    /// Panics if `pcfg.procs == 0`.
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_procs_ckpt(
-        &self,
-        pattern: &dyn TrafficPattern,
-        paths: &(dyn PathSource + Sync),
-        steps: u64,
-        seed: u64,
-        pcfg: &crate::procs::ProcsCfg,
-        ckpt: Option<&CheckpointCfg<'_>>,
-        resume: Option<&EngineState>,
-    ) -> Result<OnlineResult, StopReason> {
-        crate::procs::run_procs_ckpt(self, pattern, paths, steps, seed, pcfg, ckpt, resume)
-    }
 }
 
 #[cfg(test)]
@@ -461,6 +437,21 @@ mod tests {
         assert_eq!(r.delivered, 0);
         assert_eq!(r.throughput, 0.0);
         assert!(r.link_loads.iter().all(|&l| l == 0));
+    }
+
+    #[test]
+    fn zero_step_run_has_zero_throughput() {
+        let mesh = Mesh::new_mesh(&[8, 8]);
+        let sim = OnlineSim::new(&mesh, SchedulingPolicy::Fifo, 0.5);
+        let r = sim.run(
+            &UniformTraffic::new(mesh.clone()),
+            &shortest_paths(&mesh),
+            0,
+            1,
+        );
+        assert_eq!(r.injected, 0);
+        assert_eq!(r.throughput, 0.0);
+        assert_eq!(r.mean_latency, 0.0);
     }
 
     #[test]

@@ -50,11 +50,11 @@ pub const MAX_SHARDS: usize = 16;
 pub struct ShardMap {
     shards: usize,
     /// Shard of each edge, indexed by `EdgeId`.
-    pub(crate) shard_of_edge: Vec<u32>,
+    shard_of_edge: Vec<u32>,
     /// Dense slot of each edge within its shard, indexed by `EdgeId`.
-    pub(crate) slot_of_edge: Vec<u32>,
+    slot_of_edge: Vec<u32>,
     /// Edges per shard.
-    pub(crate) slots: Vec<usize>,
+    slots: Vec<usize>,
 }
 
 impl ShardMap {
@@ -115,29 +115,29 @@ impl ShardMap {
 /// arena is taken for write only when the coordinator appends newly
 /// injected packets between parallel rounds.
 #[derive(Default)]
-pub(crate) struct Arena {
+struct Arena {
     /// Each path sits behind its own (uncontended) mutex: a packet is
     /// owned by exactly one shard per step, and only that shard ever
     /// locks it — needed so `resample` recovery can swap the path in
     /// place without `unsafe`.
-    pub(crate) path: Vec<Mutex<Path>>,
-    pub(crate) injected_at: Vec<u64>,
-    pub(crate) rank: Vec<u64>,
+    path: Vec<Mutex<Path>>,
+    injected_at: Vec<u64>,
+    rank: Vec<u64>,
     /// Global injection index — identity for fault decisions.
-    pub(crate) inj: Vec<u64>,
-    pub(crate) pos: Vec<AtomicUsize>,
-    pub(crate) arrived: Vec<AtomicU64>,
-    pub(crate) cur_edge: Vec<AtomicUsize>,
+    inj: Vec<u64>,
+    pos: Vec<AtomicUsize>,
+    arrived: Vec<AtomicU64>,
+    cur_edge: Vec<AtomicUsize>,
     /// Fault-recovery budget units consumed so far.
-    pub(crate) attempts: Vec<AtomicU32>,
+    attempts: Vec<AtomicU32>,
     /// Step before which fault recovery makes no further decision.
-    pub(crate) backoff: Vec<AtomicU64>,
+    backoff: Vec<AtomicU64>,
 }
 
 impl Arena {
     /// Appends a packet injected at step `t` at the start of `path`,
     /// waiting on edge `edge0`; its id is the slot index.
-    pub(crate) fn push_fresh(&mut self, path: Path, t: u64, rank: u64, inj: u64, edge0: usize) {
+    fn push_fresh(&mut self, path: Path, t: u64, rank: u64, inj: u64, edge0: usize) {
         self.path.push(Mutex::new(path));
         self.injected_at.push(t);
         self.rank.push(rank);
@@ -160,10 +160,10 @@ impl Arena {
         );
     }
 
-    /// Writes packet `p` (from a snapshot or a process handoff) into slot
-    /// `p.id`, padding the arena with inert dummies so ids line up with
-    /// an uninterrupted run. Returns its current edge.
-    pub(crate) fn install(&mut self, mesh: &Mesh, p: &PacketState) -> usize {
+    /// Writes snapshot packet `p` into slot `p.id`, padding the arena
+    /// with inert dummies so ids line up with an uninterrupted run.
+    /// Returns its current edge.
+    fn install(&mut self, mesh: &Mesh, p: &PacketState) -> usize {
         let path = p.to_path(mesh);
         debug_assert!(path.is_valid(mesh), "invalid packet path");
         let pos = p.pos as usize;
@@ -184,8 +184,8 @@ impl Arena {
         e
     }
 
-    /// Reads packet `id` back out, for snapshots and process handoffs.
-    pub(crate) fn extract(&self, mesh: &Mesh, id: usize) -> PacketState {
+    /// Reads packet `id` back out, for snapshots.
+    fn extract(&self, mesh: &Mesh, id: usize) -> PacketState {
         let path = self.path[id].lock().unwrap();
         PacketState {
             id: id as u64,
@@ -207,34 +207,34 @@ impl Arena {
 
 /// Tombstone marker in a shard's active list: the packet left the shard
 /// (delivered or handed off) and is skipped at the next scan.
-pub(crate) const GONE: usize = usize::MAX;
+const GONE: usize = usize::MAX;
 
 /// Per-shard mutable state. Locked by whichever worker claims the shard
 /// this step (uncontended: each shard is claimed exactly once per step).
-pub(crate) struct ShardState {
+struct ShardState {
     /// Packets owned by this shard (`GONE` entries are compacted lazily).
-    pub(crate) active: Vec<usize>,
+    active: Vec<usize>,
     /// Live packet count after the last step (excludes tombstones).
-    pub(crate) live: usize,
+    live: usize,
     /// Per-slot link contention; winners are tagged with their position
     /// in `active` (for tombstoning).
     contention: Contention,
     /// Per-slot traversal totals (the shard's slice of the link loads).
-    pub(crate) loads: Vec<u64>,
+    loads: Vec<u64>,
     /// Delivery latencies of packets that completed in this shard.
-    pub(crate) latencies: Vec<u64>,
-    pub(crate) step_max_group: u32,
-    pub(crate) step_busy: u32,
-    pub(crate) step_handoffs: u64,
-    pub(crate) step_delivered: u64,
-    pub(crate) step_dead: u64,
-    pub(crate) step_blocked: u64,
-    pub(crate) step_resamples: u64,
-    pub(crate) step_drops: u64,
+    latencies: Vec<u64>,
+    step_max_group: u32,
+    step_busy: u32,
+    step_handoffs: u64,
+    step_delivered: u64,
+    step_dead: u64,
+    step_blocked: u64,
+    step_resamples: u64,
+    step_drops: u64,
 }
 
 impl ShardState {
-    pub(crate) fn new(slots: usize) -> Self {
+    fn new(slots: usize) -> Self {
         Self {
             active: Vec::new(),
             live: 0,
@@ -673,7 +673,7 @@ fn resample_arena(
 /// latencies, and pushing cross-shard handoffs into the next-parity
 /// inbox of the destination shard.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn step_shard(
+fn step_shard(
     arena: &Arena,
     map: &ShardMap,
     shard: &Mutex<ShardState>,

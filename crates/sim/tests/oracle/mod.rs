@@ -167,7 +167,7 @@ pub fn run(
         mean_latency: latencies.iter().sum::<u64>() as f64 / delivered.max(1) as f64,
         p95_latency: p95.map_or(0.0, |&l| l as f64),
         in_flight: packets.iter().filter(|p| !p.done).count(),
-        throughput: delivered as f64 / (mesh.node_count() as f64 * steps as f64),
+        throughput: delivered as f64 / (mesh.node_count() as f64 * steps.max(1) as f64),
         link_loads,
         sharding: None,
         faults: fx.map(|(f, _)| FaultStats {

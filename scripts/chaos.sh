@@ -137,63 +137,6 @@ if ! grep -q "generation 3" "$tmp/corrupt/res.err"; then
   exit 1
 fi
 
-echo "== chaos: kill -9 one worker process of a --procs run =="
-# The multi-process invariant: a worker process kill -9'd mid-run is
-# restored from its shadow and replayed, and the run's stdout and
-# deterministic metrics stay byte-identical to the (thread-engine)
-# reference — the kill must be invisible in every deterministic byte.
-procs_dir="$tmp/procs_kill"
-mkdir -p "$procs_dir"
-pbase=("${base[@]::${#base[@]}-2}") # the reference flags minus --threads 2
-"${bin}" "${pbase[@]}" --procs 2 --checkpoint-dir "$procs_dir/ckpt" \
-  --metrics-out "$procs_dir/run.json" \
-  > "$procs_dir/run.out" 2> "$procs_dir/run.err" &
-sup_pid=$!
-worker_pid=""
-for _ in $(seq 1 200); do
-  worker_pid=$(awk '/^proc worker 1 pid /{print $5; exit}' "$procs_dir/run.err" 2> /dev/null)
-  if [[ -n "$worker_pid" ]]; then
-    break
-  fi
-  if ! kill -0 "$sup_pid" 2> /dev/null; then
-    break
-  fi
-  sleep 0.05
-done
-if [[ -z "$worker_pid" ]]; then
-  echo "chaos/procs: supervisor never announced a worker pid" >&2
-  cat "$procs_dir/run.err" >&2
-  exit 1
-fi
-sleep 0.3 # let the run clear a few step barriers first
-kill -9 "$worker_pid" 2> /dev/null || {
-  echo "chaos/procs: run finished before the worker could be killed; raise --steps" >&2
-  exit 1
-}
-if ! wait "$sup_pid"; then
-  echo "chaos/procs: supervisor did not survive the worker kill" >&2
-  cat "$procs_dir/run.err" >&2
-  exit 1
-fi
-if ! grep -q "proc worker 1 died" "$procs_dir/run.err" \
-  || ! grep -q "proc worker 1 recovered" "$procs_dir/run.err"; then
-  echo "chaos/procs: stderr does not record the death and recovery" >&2
-  cat "$procs_dir/run.err" >&2
-  exit 1
-fi
-if ! cmp -s "$tmp/ref.out" "$procs_dir/run.out"; then
-  echo "chaos/procs: stdout differs from the uninterrupted reference" >&2
-  diff "$tmp/ref.out" "$procs_dir/run.out" | head >&2 || true
-  exit 1
-fi
-deterministic "$procs_dir/run.json" "$procs_dir/run.det"
-if ! cmp -s "$tmp/ref.det" "$procs_dir/run.det"; then
-  echo "chaos/procs: metrics differ from the uninterrupted reference" >&2
-  diff "$tmp/ref.det" "$procs_dir/run.det" | head >&2 || true
-  exit 1
-fi
-echo "chaos/procs: worker kill -9 recovered byte-identically"
-
 echo "== chaos: kill -9 the serve daemon mid-load, restart, retries converge =="
 # The serving invariant: a server that is kill -9'd under live load and
 # restarted on the same port loses nothing the client can observe — the

@@ -53,7 +53,7 @@ struct Flag {
     /// The value when the flag is absent, as typed (`""`: none).
     default: &'static str,
     help: &'static str,
-    /// Left out of `help`: test hooks and the worker protocol.
+    /// Left out of `help`: test hooks.
     hidden: bool,
 }
 
@@ -144,7 +144,6 @@ const TORUS: Flag = row("torus", Bool, "", "wrap-around links");
 const PORT: Flag = row("port", TCP_PORT, "", "TCP port (required)");
 const HOST: Flag = row("host", Str, "127.0.0.1", "address");
 const TIMEOUT: Flag = row("timeout-ms", NONZERO, "2000", "socket timeout");
-const PROCS: Flag = row("procs", NONZERO, "", "N workers; needs --checkpoint-dir");
 
 const fn mesh(default: &'static str) -> Flag {
     row("mesh", Str, default, "sides, e.g. 64x64")
@@ -170,9 +169,7 @@ const fn workload(default: &'static str) -> [Flag; 2] {
     ]
 }
 
-/// The simulation and fault flags of `online`, forwarded as resolved to
-/// every `proc-worker`, which must rebuild the very same run.
-const SIM: [Flag; 14] = [
+const ONLINE: Groups = &[&[
     mesh("16x16"),
     router("buschd"),
     policy("fifo"),
@@ -186,33 +183,14 @@ const SIM: [Flag; 14] = [
     row("recovery", RECOVERIES, "resample", "wait, resample or drop"),
     row("retry-budget", U64(1, MAX32), "16", "retries before drop"),
     row("fault-seed", ANY, "", "schedule seed [default: --seed]"),
-    row("heartbeat-ms", NONZERO, "250", "worker heartbeat"),
-];
-
-const ONLINE: Groups = &[
-    &SIM,
-    &[
-        SEED,
-        row("rate", PROB, "0.05", "injection rate"),
-        row("pattern", PATTERNS, "uniform", "traffic"),
-        row("threads", NONZERO, "1", "shard threads; same output"),
-        PROCS,
-        row("handoff-timeout-ms", NONZERO, "5000", "worker deadline"),
-        row("checkpoint-dir", Str, "", "snapshot dir; a rerun resumes"),
-        row("checkpoint-every", ANY, "0", "snapshot period"),
-        hidden("ckpt-stop-at", ANY, ""),
-    ],
-];
-
-const PROC_WORKER: Groups = &[
-    &SIM,
-    &[
-        PROCS,
-        hidden("worker", ANY, "0"),
-        hidden("plan-digest", ANY, "0"),
-        hidden("metered", Bool, ""),
-    ],
-];
+    SEED,
+    row("rate", PROB, "0.05", "injection rate"),
+    row("pattern", PATTERNS, "uniform", "traffic"),
+    row("threads", NONZERO, "1", "shard threads; same output"),
+    row("checkpoint-dir", Str, "", "snapshot dir; a rerun resumes"),
+    row("checkpoint-every", ANY, "0", "snapshot period"),
+    hidden("ckpt-stop-at", ANY, ""),
+]];
 
 /// `serve`'s straggler knobs; any of them needs `--chaos-seed`.
 const CHAOS: [Flag; 7] = [
@@ -318,9 +296,6 @@ const COMMANDS: &[Command] = &[
     cmd("pia", PIA, cmd_pia, "build Section 5's Pi_A for a router"),
     cmd("bracket", BRACKET, cmd_bracket, "lb <= C* <= C(offline)"),
     cmd("online", ONLINE, cmd_online, "latency vs injection load"),
-    // The worker entry point of `online --procs N`, spawned by the
-    // supervisor, never typed by hand (thus hidden from `help`).
-    cmd("proc-worker", PROC_WORKER, cmd_proc_worker, ""),
     cmd("simulate", SIMULATE, cmd_simulate, "makespan vs C+D"),
     cmd("serve", SERVE, cmd_serve, "overload-safe TCP path service"),
     cmd("loadgen", LOADGEN, cmd_loadgen, "client for `serve`"),
@@ -521,7 +496,9 @@ fn help_line(s: &mut String, f: &Flag) {
 /// The shared factory of `oblivion-core`, so the command line and the
 /// serve registry's `ADMIN ADD` accept the same mesh specs and router
 /// names and reject bad ones with the same messages.
-pub use crate::routing::{build_router as make_router, parse_mesh_spec, ROUTER_NAMES};
+pub use crate::routing::{
+    build_router as make_router, implies_torus, parse_mesh_spec, ROUTER_NAMES,
+};
 
 /// Parses a coordinate like `3,4` against a mesh.
 pub fn parse_coord(spec: &str, mesh: &Mesh) -> Result<Coord, String> {
@@ -600,10 +577,12 @@ fn workload_from_args(args: &Args, mesh: &Mesh, rng: &mut StdRng) -> Result<wl::
     make_workload(args.str("workload")?, mesh, rng)
 }
 
-/// The mesh, router and seed a routing command starts from.
+/// The mesh, router and seed a routing command starts from. A torus
+/// router implies a torus mesh, with or without `--torus`.
 fn mesh_router_seed(args: &Args) -> Result<(Mesh, Box<dyn ObliviousRouter>, u64), String> {
-    let mesh = parse_mesh_spec(args.str("mesh")?, args.flag("torus"))?;
-    let router = make_router(args.str("router")?, &mesh)?;
+    let name = args.str("router")?;
+    let mesh = parse_mesh_spec(args.str("mesh")?, args.flag("torus") || implies_torus(name))?;
+    let router = make_router(name, &mesh)?;
     Ok((mesh, router, args.num("seed")?))
 }
 
@@ -1022,9 +1001,7 @@ fn cmd_pia(args: &Args) -> Result<String, String> {
 }
 
 /// Adapts a router to the simulator's path source, forwarding fault
-/// resamples to the router's dedicated entry point. Shared by the
-/// `online` supervisor and the hidden `proc-worker` entry point, which
-/// must select byte-identical paths.
+/// resamples to the router's dedicated entry point.
 struct RouterSource<'a>(&'a dyn ObliviousRouter);
 impl oblivion_sim::PathSource for RouterSource<'_> {
     fn path(&self, s: &Coord, t: &Coord, rng: &mut StdRng) -> oblivion_mesh::Path {
@@ -1035,23 +1012,6 @@ impl oblivion_sim::PathSource for RouterSource<'_> {
     }
 }
 
-/// The fault knobs of an online run — config, recovery policy, retry
-/// budget and fault seed — parsed identically by `online` and
-/// `proc-worker` (the worker must rebuild the very same fault plan).
-fn fault_args(args: &Args, seed: u64) -> Result<(FaultConfig, RecoveryPolicy, u32, u64), String> {
-    let cfg = FaultConfig {
-        link_fail_prob: args.num("fault-links")?,
-        mode: FaultMode::parse(args.str("fault-mode")?)?,
-        mttr: args.num("mttr")?,
-        mtbf: args.num("mtbf")?,
-        node_fail_prob: args.num("fault-nodes")?,
-        drop_prob: args.num("drop-prob")?,
-    };
-    let recovery = RecoveryPolicy::parse(args.str("recovery")?)?;
-    let fault_seed = args.opt("fault-seed")?.unwrap_or(seed);
-    Ok((cfg, recovery, args.num("retry-budget")?, fault_seed))
-}
-
 fn cmd_online(args: &Args) -> Result<String, String> {
     let (mesh, router, seed) = mesh_router_seed(args)?;
     let rate: f64 = args.num("rate")?;
@@ -1060,28 +1020,17 @@ fn cmd_online(args: &Args) -> Result<String, String> {
     let threads: usize = args.num("threads")?;
     use oblivion_sim::{Faults, FixedTraffic, OnlineSim, TrafficPattern, UniformTraffic};
 
-    let (fault_cfg, recovery, retry_budget, fault_seed) = fault_args(args, seed)?;
-
-    // ------------------------------------------------------------------
-    // Multi-process mode (`--procs N`): the shards run in N worker
-    // processes supervised by this one. Mutually exclusive with
-    // `--threads` (one parallelism axis at a time), and requires a
-    // checkpoint dir so a crashed run as a whole is also recoverable.
-    // ------------------------------------------------------------------
-    let procs: Option<usize> = args.opt("procs")?;
-    if procs.is_some() && args.given("threads").is_some() {
-        return Err(
-            "--procs and --threads are mutually exclusive (pick one parallelism axis)".into(),
-        );
-    }
-    let handoff_timeout_ms: u64 = args.num("handoff-timeout-ms")?;
-    let heartbeat_ms: u64 = args.num("heartbeat-ms")?;
-    if heartbeat_ms >= handoff_timeout_ms {
-        return Err(format!(
-            "--heartbeat-ms ({heartbeat_ms}) must be below --handoff-timeout-ms \
-             ({handoff_timeout_ms}), or every worker looks dead"
-        ));
-    }
+    let fault_cfg = FaultConfig {
+        link_fail_prob: args.num("fault-links")?,
+        mode: FaultMode::parse(args.str("fault-mode")?)?,
+        mttr: args.num("mttr")?,
+        mtbf: args.num("mtbf")?,
+        node_fail_prob: args.num("fault-nodes")?,
+        drop_prob: args.num("drop-prob")?,
+    };
+    let recovery = RecoveryPolicy::parse(args.str("recovery")?)?;
+    let retry_budget: u32 = args.num("retry-budget")?;
+    let fault_seed = args.opt("fault-seed")?.unwrap_or(seed);
     let uniform = UniformTraffic::new(mesh.clone());
     let transpose = FixedTraffic {
         pattern_name: "transpose".into(),
@@ -1127,13 +1076,6 @@ fn cmd_online(args: &Args) -> Result<String, String> {
         }
         if ckpt_stop_at.is_some() {
             return Err("--ckpt-stop-at needs --checkpoint-dir".into());
-        }
-        if procs.is_some_and(|p| p > 1) {
-            return Err(
-                "--procs above 1 needs --checkpoint-dir (worker recovery shares the \
-                 snapshot machinery, and a killed supervisor must be resumable)"
-                    .into(),
-            );
         }
     }
     // Everything that shapes the simulation — but NOT the thread count or
@@ -1195,44 +1137,11 @@ fn cmd_online(args: &Args) -> Result<String, String> {
         resume_step: resumed.as_ref().map(|r| r.0.t),
     });
     let (ckpt, resume) = (ckpt.as_ref(), resumed.as_ref().map(|r| &r.0));
-    // The sharded engine is deterministic in the thread count (and the
-    // process engine in the process count), so those are the only engines
-    // the CLI runs; `--threads 1` executes the sharded engine inline.
-    let run = if let Some(p) = procs {
-        // Hand the worker the run's full configuration as resolved *here*
-        // (every SIM flag, defaults included, plus the fault seed), and
-        // the plan digest so a worker built from a drifted binary or
-        // mismatched flags fails loudly instead of silently diverging.
-        // The supervisor appends --procs/--worker.
-        let mut worker_args = vec!["proc-worker".to_string()];
-        for f in &SIM {
-            if let Some(v) = args.get(f.name) {
-                worker_args.extend([format!("--{}", f.name), v.to_string()]);
-            }
-        }
-        if args.given("fault-seed").is_none() {
-            worker_args.extend(["--fault-seed".into(), fault_seed.to_string()]);
-        }
-        let digest = plan.as_ref().map_or(0, |p| p.digest());
-        worker_args.extend(["--plan-digest".into(), digest.to_string()]);
-        // Workers drain their deterministic obs into every DONE, so the
-        // supervisor's metrics/snapshots include resample-time router
-        // instrumentation; see procs.rs.
-        if oblivion_obs::is_enabled() {
-            worker_args.push("--metered".into());
-        }
-        let pcfg = oblivion_sim::procs::ProcsCfg {
-            procs: p,
-            handoff_timeout: Duration::from_millis(handoff_timeout_ms),
-            worker_program: std::env::current_exe()
-                .map_err(|e| format!("cannot locate the worker executable: {e}"))?,
-            worker_args,
-        };
-        sim.run_procs_ckpt(pattern, &source, steps, seed, &pcfg, ckpt, resume)
-    } else {
-        sim.run_sharded_ckpt(pattern, &source, steps, seed, threads, ckpt, resume)
-    };
-    let r = run.map_err(|stop| stop.to_string())?;
+    // The sharded engine is deterministic in the thread count, so it is
+    // the only engine the CLI runs; `--threads 1` executes it inline.
+    let r = sim
+        .run_sharded_ckpt(pattern, &source, steps, seed, threads, ckpt, resume)
+        .map_err(|stop| stop.to_string())?;
     if let Some(store) = store {
         CKPT_CLEAR.with(|c| *c.borrow_mut() = Some(store));
     }
@@ -1316,53 +1225,6 @@ fn cmd_online(args: &Args) -> Result<String, String> {
     Ok(out)
 }
 
-/// The hidden worker entry point of `online --procs N`: rebuilds the
-/// run's mesh/router/policy/fault plan from the flags the supervisor
-/// passed, verifies the fault-plan digest, and serves the step protocol
-/// on stdin/stdout until told to finish.
-fn cmd_proc_worker(args: &Args) -> Result<String, String> {
-    use oblivion_sim::procs::{worker_serve, WorkerCfg};
-    use oblivion_sim::Faults;
-    let mesh = parse_mesh_spec(args.str("mesh")?, false)?;
-    let router = make_router(args.str("router")?, &mesh)?;
-    let policy = parse_policy(args.str("policy")?)?;
-    let steps: u64 = args.num("steps")?;
-    let (fault_cfg, recovery, retry_budget, fault_seed) = fault_args(args, 0)?;
-    let plan =
-        (!fault_cfg.is_trivial()).then(|| FaultPlan::new(&mesh, &fault_cfg, fault_seed, 2 * steps));
-    // The supervisor states the digest of the plan it routes against; a
-    // worker that derived anything else must not take a single step.
-    let stated: u64 = args.num("plan-digest")?;
-    let derived = plan.as_ref().map_or(0, |p| p.digest());
-    if stated != derived {
-        return Err(format!(
-            "fault-plan digest mismatch: supervisor stated {stated:016x}, \
-             worker derived {derived:016x}"
-        ));
-    }
-    let cfg = WorkerCfg {
-        mesh: &mesh,
-        policy,
-        faults: plan.as_ref().map(|plan| Faults {
-            plan,
-            recovery,
-            retry_budget,
-        }),
-        procs: args.num("procs")?,
-        worker: args.num("worker")?,
-        heartbeat: args.millis("heartbeat-ms")?,
-    };
-    let source = RouterSource(router.as_ref());
-    // Enabled only now — past router/plan construction — so the drained
-    // deltas hold step-time emissions alone, never setup-time ones the
-    // supervisor already emitted for itself.
-    if args.flag("metered") {
-        oblivion_obs::enable();
-    }
-    worker_serve(&cfg, &source)?;
-    Ok(String::new())
-}
-
 // ---------------------------------------------------------------------
 // The serving layer (`oblivion serve` / `oblivion loadgen`). Flag
 // validation lives here so a bad knob is a clean exit-2 error before a
@@ -1376,7 +1238,7 @@ fn cmd_serve(args: &Args) -> Result<String, String> {
     // default mesh (what prefix-free requests resolve to), an unnamed
     // spec gets the id `default`. One router algorithm serves them all;
     // torus routers imply torus meshes, exactly as `ADMIN ADD` infers.
-    let torus = router_name == "busch-torus";
+    let torus = implies_torus(router_name);
     let mut meshes: Vec<(String, Mesh)> = Vec::new();
     for part in args.str("mesh")?.split(',') {
         let (spec, id) = match part.split_once(':') {

@@ -318,8 +318,9 @@ fn serve_rejects_bad_chaos_flags_cleanly() {
 
 #[test]
 fn flags_outside_the_command_table_fail_cleanly() {
-    // A misspelled flag, a flag of another command, and a value after the
-    // bare `--torus` switch are all refused, never silently ignored.
+    // A misspelled flag, a flag of another command, a value after the
+    // bare `--torus` switch, and the flags and command of the retired
+    // multi-process engine are all refused, never silently ignored.
     for args in [
         &["online", "--mesh", "8x8", "--steps", "20", "--thread", "4"][..],
         &[
@@ -328,6 +329,10 @@ fn flags_outside_the_command_table_fail_cleanly() {
         &["heatmap", "--torus", "true"],
         &["route", "--torus", "yes"],
         &["decompose", "--threads", "2"],
+        &["online", "--steps", "10", "--procs", "2"],
+        &["online", "--steps", "10", "--heartbeat-ms", "250"],
+        &["online", "--steps", "10", "--handoff-timeout-ms", "5000"],
+        &["proc-worker"],
     ] {
         assert_clean_failure(&oblivion(args), &args.join(" "));
     }
@@ -407,85 +412,6 @@ fn loadgen_rejects_bad_open_loop_and_hedge_flags_cleanly() {
             "error should name the conflicting flag"
         );
     }
-}
-
-#[test]
-fn procs_rejects_degenerate_knobs_cleanly() {
-    // Zero worker processes, a dead-on-arrival handoff deadline, or a
-    // heartbeat slower than the deadline it is meant to re-arm are all
-    // configuration errors — refused before any process is spawned.
-    for (flag, value) in [
-        ("--procs", "0"),
-        ("--procs", "-2"),
-        ("--procs", "many"),
-        ("--handoff-timeout-ms", "0"),
-        ("--handoff-timeout-ms", "-50"),
-        ("--heartbeat-ms", "0"),
-    ] {
-        let out = oblivion(&[
-            "online", "--mesh", "8x8", "--router", "busch2d", "--steps", "10", flag, value,
-        ]);
-        assert_clean_failure(&out, &format!("{flag} {value}"));
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert!(
-            stderr.contains(flag.trim_start_matches('-')),
-            "{flag}: error should name the offending flag: {stderr}"
-        );
-    }
-    // A heartbeat period at or above the handoff deadline makes every
-    // worker look dead.
-    let out = oblivion(&[
-        "online",
-        "--mesh",
-        "8x8",
-        "--router",
-        "busch2d",
-        "--steps",
-        "10",
-        "--handoff-timeout-ms",
-        "500",
-        "--heartbeat-ms",
-        "500",
-    ]);
-    assert_clean_failure(&out, "--heartbeat-ms == --handoff-timeout-ms");
-    assert!(
-        String::from_utf8_lossy(&out.stderr).contains("heartbeat-ms"),
-        "error should name the heartbeat flag"
-    );
-}
-
-#[test]
-fn procs_rejects_conflicting_or_incomplete_modes_cleanly() {
-    // One parallelism axis at a time: --procs and --threads conflict.
-    let out = oblivion(&[
-        "online",
-        "--mesh",
-        "8x8",
-        "--router",
-        "busch2d",
-        "--steps",
-        "10",
-        "--procs",
-        "2",
-        "--threads",
-        "4",
-        "--checkpoint-dir",
-        "/tmp/oblivion-unused",
-    ]);
-    assert_clean_failure(&out, "--procs with --threads");
-    assert!(
-        String::from_utf8_lossy(&out.stderr).contains("mutually exclusive"),
-        "error should say the flags conflict"
-    );
-    // Multi-process runs need the snapshot machinery for recovery.
-    let out = oblivion(&[
-        "online", "--mesh", "8x8", "--router", "busch2d", "--steps", "10", "--procs", "2",
-    ]);
-    assert_clean_failure(&out, "--procs 2 without --checkpoint-dir");
-    assert!(
-        String::from_utf8_lossy(&out.stderr).contains("--checkpoint-dir"),
-        "error should point at the missing --checkpoint-dir"
-    );
 }
 
 #[test]

@@ -166,81 +166,35 @@ fn online_metrics_identical_across_thread_counts_3d() {
     }
 }
 
-/// The multi-process engine extends the contract across process
-/// boundaries: `--procs N` (supervisor + N workers over pipes) produces
-/// the same deterministic metrics and RunReport as the thread engine,
-/// including the obs that workers emit while resampling around faults
-/// and ship home in their DONE messages.
-#[test]
-fn online_metrics_identical_across_process_counts() {
-    let base = [
-        "online",
-        "--mesh",
-        "8x8",
-        "--router",
-        "buschd",
-        "--rate",
-        "0.08",
-        "--steps",
-        "80",
-        "--seed",
-        "21",
-        "--fault-links",
-        "0.08",
-        "--fault-mode",
-        "transient",
-        "--recovery",
-        "resample",
-    ];
-    let reference = online_with_threads("procs_ref", &base, "1");
-    for procs in ["1", "2", "4"] {
-        let tag = format!("oblivion_det_procs_{procs}_{}", std::process::id());
-        let ckpt = std::env::temp_dir().join(&tag);
-        let _ = std::fs::remove_dir_all(&ckpt);
-        std::fs::create_dir_all(&ckpt).unwrap();
-        let out = std::env::temp_dir().join(format!("{tag}.json"));
-        let ckpt_s = ckpt.to_str().unwrap().to_string();
-        let mut args: Vec<&str> = base.to_vec();
-        args.extend_from_slice(&["--procs", procs, "--checkpoint-dir", &ckpt_s]);
-        run_metered(&args, &out);
-        assert_eq!(
-            reference.0,
-            deterministic_lines(&out),
-            "--procs {procs} changed deterministic metrics lines"
-        );
-        assert_eq!(
-            reference.1,
-            report_line(&out),
-            "--procs {procs} changed the RunReport byte-for-byte"
-        );
-        let _ = std::fs::remove_file(&out);
-        let _ = std::fs::remove_dir_all(&ckpt);
-    }
-}
-
 /// Fault-injected runs obey the same thread-count contract: the fault
 /// plan is a pure function of (mesh, fault seed), recovery decisions are
-/// made identically in both engines, and every tally is an order-free
+/// made identically in every shard, and every tally is an order-free
 /// sum — so the metrics document is byte-identical at any `--threads`.
+/// The `buschd` case lands the router's resample instrumentation in the
+/// metrics; the `busch-torus` case runs on the torus its router implies.
 #[test]
 fn faulted_online_metrics_identical_across_thread_counts() {
-    for (label, recovery, mode) in [
-        ("fw", "wait", "transient"),
-        ("fr", "resample", "transient"),
-        ("fd", "drop", "permanent"),
-    ] {
+    #[rustfmt::skip]
+    let cases = [
+        ("fw", "16x16", "busch2d", "0.05", "200", "99", "wait", "transient"),
+        ("fr", "16x16", "busch2d", "0.05", "200", "99", "resample", "transient"),
+        ("fd", "16x16", "busch2d", "0.05", "200", "99", "drop", "permanent"),
+        ("frd", "8x8", "buschd", "0.08", "80", "21", "resample", "transient"),
+        ("frt", "16x16", "busch-torus", "0.05", "200", "99", "resample", "transient"),
+    ];
+    for (label, mesh, router, rate, steps, seed, recovery, mode) in cases {
         let base = [
             "online",
             "--mesh",
-            "16x16",
+            mesh,
             "--router",
-            "busch2d",
+            router,
             "--rate",
-            "0.05",
+            rate,
             "--steps",
-            "200",
+            steps,
             "--seed",
-            "99",
+            seed,
             "--fault-links",
             "0.08",
             "--fault-mode",
@@ -258,11 +212,11 @@ fn faulted_online_metrics_identical_across_thread_counts() {
             let other = online_with_threads(label, &base, threads);
             assert_eq!(
                 one.0, other.0,
-                "{recovery}/{mode}: --threads {threads} changed faulted metrics"
+                "{router} {recovery}/{mode}: --threads {threads} changed faulted metrics"
             );
             assert_eq!(
                 one.1, other.1,
-                "{recovery}/{mode}: --threads {threads} changed the faulted RunReport"
+                "{router} {recovery}/{mode}: --threads {threads} changed the faulted RunReport"
             );
         }
     }
