@@ -161,9 +161,9 @@ fn main() {
             let client = Client::to(health, Duration::from_secs(2));
             while !stop_scraper.load(Ordering::SeqCst) {
                 let text = client.scrape().expect("METRICS scrape failed mid-sweep");
-                let exp = parse_exposition(&text)
+                let (exp, _) = parse_exposition(&text)
                     .unwrap_or_else(|why| panic!("unparseable scrape: {why}\n{text}"));
-                exp.check_conservation()
+                exp.check()
                     .unwrap_or_else(|why| panic!("conservation violated on a live scrape: {why}"));
                 scrapes.fetch_add(1, Ordering::SeqCst);
                 std::thread::sleep(Duration::from_millis(25));

@@ -80,9 +80,8 @@ fn main() {
             let scraper = Client::to(health, Duration::from_secs(2));
             while !stampede.is_finished() {
                 let text = scraper.scrape().expect("METRICS scrape failed under load");
-                let exp = parse_exposition(&text).expect("exposition parses");
-                exp.check_conservation()
-                    .expect("live scrape violates conservation");
+                let (exp, _) = parse_exposition(&text).expect("exposition parses");
+                exp.check().expect("live scrape violates conservation");
                 std::thread::sleep(Duration::from_millis(10));
             }
             let r = stampede.join().expect("stampede panicked");

@@ -109,6 +109,9 @@ fn main() {
                 "batch {batch_max}: final account does not conserve: {:?}",
                 summary.stats
             );
+            if let Err(why) = summary.stats.check() {
+                panic!("batch {batch_max}: final account breaks the law: {why}");
+            }
         });
     }
     table.print();

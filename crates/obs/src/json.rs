@@ -195,6 +195,13 @@ impl From<i64> for Json {
         Json::I64(x)
     }
 }
+/// Exact for every `u64` and `i64`: a non-negative value becomes
+/// [`Json::U64`], a negative one [`Json::I64`].
+impl From<i128> for Json {
+    fn from(x: i128) -> Self {
+        u64::try_from(x).map_or(Json::I64(x as i64), Json::U64)
+    }
+}
 impl From<f64> for Json {
     fn from(x: f64) -> Self {
         Json::F64(x)

@@ -6,9 +6,8 @@
 //!
 //! * [`registry`] — a process-global registry of named counters, gauges,
 //!   power-of-two-bucket histograms (deterministic and wall-clock
-//!   "runtime" flavors), and nestable wall-clock spans, with an atomic
-//!   [`update`] batch API so readers only ever see
-//!   invariant-preserving snapshots. Instrumentation is off by default;
+//!   "runtime" flavors), and nestable wall-clock spans, read back as one
+//!   consistent snapshot. Instrumentation is off by default;
 //!   every call site then costs one relaxed atomic load, so hot paths
 //!   (per-packet routing, per-step simulation) can stay instrumented
 //!   unconditionally.
@@ -44,9 +43,9 @@ pub mod report;
 
 pub use json::Json;
 pub use registry::{
-    capture_events, counter_add, disable, enable, gauge_add, gauge_set, is_enabled, record,
-    record_runtime, reset, restore_deterministic, runtime_counter_add, snapshot, span, update,
-    Batch, Histogram, Snapshot, SpanGuard, SpanStats, HISTOGRAM_BUCKETS,
+    capture_events, counter_add, disable, enable, gauge_set, is_enabled, record, record_runtime,
+    reset, restore_deterministic, runtime_counter_add, snapshot, span, Histogram, Snapshot,
+    SpanGuard, SpanStats, HISTOGRAM_BUCKETS,
 };
 pub use report::{
     histogram_from_json, histogram_json, parse_jsonl, parse_jsonl_lossy, render, report_schemas,

@@ -38,7 +38,7 @@ pub const HISTOGRAM_BUCKETS: usize = 65;
 ///
 /// Bucket 0 counts exact zeros; bucket `i >= 1` counts values in
 /// `[2^(i-1), 2^i)`.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Histogram {
     /// Number of observations.
     pub count: u64,
@@ -247,68 +247,6 @@ pub fn gauge_set(name: &'static str, value: i64) {
     reg.gauges.insert(name, value);
 }
 
-/// Adds `delta` (possibly negative) to a named gauge. No-op when
-/// disabled.
-#[inline]
-pub fn gauge_add(name: &'static str, delta: i64) {
-    if !is_enabled() {
-        return;
-    }
-    let mut reg = registry().lock().unwrap();
-    *reg.gauges.entry(name).or_insert(0) += delta;
-}
-
-/// A write handle over the registry held open for one atomic batch; see
-/// [`update`].
-pub struct Batch<'a> {
-    reg: &'a mut Registry,
-}
-
-impl Batch<'_> {
-    /// Adds to a counter within the batch.
-    pub fn counter_add(&mut self, name: &'static str, delta: u64) {
-        *self.reg.counters.entry(name).or_insert(0) += delta;
-    }
-
-    /// Adds to a gauge within the batch.
-    pub fn gauge_add(&mut self, name: &'static str, delta: i64) {
-        *self.reg.gauges.entry(name).or_insert(0) += delta;
-    }
-
-    /// Sets a gauge within the batch.
-    pub fn gauge_set(&mut self, name: &'static str, value: i64) {
-        self.reg.gauges.insert(name, value);
-    }
-
-    /// Records into a histogram within the batch.
-    pub fn record(&mut self, name: &'static str, value: u64) {
-        self.reg.histograms.entry(name).or_default().record(value);
-    }
-
-    /// Records into a runtime histogram within the batch.
-    pub fn record_runtime(&mut self, name: &'static str, value: u64) {
-        self.reg
-            .runtime_histograms
-            .entry(name)
-            .or_default()
-            .record(value);
-    }
-}
-
-/// Applies several registry updates as one atomic transition: the whole
-/// closure runs under the registry lock, so a concurrent [`snapshot`]
-/// sees either none or all of its effects. This is how writers maintain
-/// cross-metric invariants (conservation laws) that a reader may check.
-/// No-op when disabled.
-#[inline]
-pub fn update(f: impl FnOnce(&mut Batch<'_>)) {
-    if !is_enabled() {
-        return;
-    }
-    let mut reg = registry().lock().unwrap();
-    f(&mut Batch { reg: &mut reg });
-}
-
 /// An RAII span: measures wall-clock time from creation to drop and
 /// records it under the nesting path (`outer/inner`). Created disabled,
 /// it does nothing at all.
@@ -375,8 +313,7 @@ pub fn capture_events(on: bool) {
 /// A point-in-time copy of the whole registry.
 ///
 /// Taken under the registry lock, so it is *consistent*: every update
-/// applied through one [`update`] batch is either fully visible or not
-/// visible at all.
+/// is either fully visible or not visible at all.
 #[derive(Debug, Clone, Default)]
 pub struct Snapshot {
     /// Counter values by name.
@@ -537,13 +474,13 @@ mod tests {
     }
 
     #[test]
-    fn gauges_set_and_add() {
+    fn gauges_set_overwrites() {
         let _guard = serial();
         enable();
         reset();
         gauge_set("depth", 7);
-        gauge_add("depth", -3);
-        gauge_add("inflight", 2);
+        gauge_set("depth", 4);
+        gauge_set("inflight", 2);
         let snap = snapshot();
         disable();
         assert_eq!(
@@ -568,36 +505,6 @@ mod tests {
         assert_eq!(name, "phase_ns");
         assert_eq!(h.count, 2);
         assert_eq!(h.sum, 300);
-    }
-
-    #[test]
-    fn update_batch_is_atomic_under_the_lock() {
-        let _guard = serial();
-        enable();
-        reset();
-        update(|b| {
-            b.counter_add("accepted", 1);
-            b.gauge_add("in_flight", 1);
-            b.record("h", 5);
-            b.record_runtime("rt", 9);
-        });
-        update(|b| {
-            b.counter_add("completed", 1);
-            b.gauge_add("in_flight", -1);
-            b.gauge_set("queue", 0);
-        });
-        let snap = snapshot();
-        disable();
-        assert_eq!(
-            snap.counters,
-            vec![("accepted".to_string(), 1), ("completed".to_string(), 1)]
-        );
-        assert_eq!(
-            snap.gauges,
-            vec![("in_flight".to_string(), 0), ("queue".to_string(), 0)]
-        );
-        assert_eq!(snap.histograms[0].1.count, 1);
-        assert_eq!(snap.runtime_histograms[0].1.count, 1);
     }
 
     #[test]

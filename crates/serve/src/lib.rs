@@ -23,13 +23,15 @@
 //!   [`oblivion_sim::pool::run_crew`] worker pool: per-request deadlines,
 //!   graceful SIGTERM drain with a budget, and dedicated health/readiness
 //!   probes that answer even at 10x overload.
-//! * [`stats`] — request accounting with an asserted conservation law:
-//!   every accepted connection settles into exactly one bucket — plus
-//!   live gauges (queue depth, in-flight, connections) and per-phase
-//!   latency histograms behind a consistent-snapshot API.
-//! * [`metrics`] — the Prometheus-style `METRICS` text exposition
-//!   (renderer, parser, and conservation checker), served admission-free
-//!   on the health port so it stays scrapeable at full overload.
+//! * [`stats`] — serve's one ledger: request accounting whose
+//!   conservation law ([`StatsSnapshot::check`]) says every admitted
+//!   request unit settles into exactly one bucket — plus live gauges
+//!   (queue depth, in-flight, connections) and per-phase latency
+//!   histograms behind a consistent-snapshot API.
+//! * [`metrics`] — the Prometheus-style `METRICS` text exposition and
+//!   its strict parser back into a [`StatsSnapshot`], served
+//!   admission-free on the health port so it stays scrapeable at full
+//!   overload.
 //! * [`top`] — the terminal live view behind `oblivion top`, polling
 //!   `METRICS` and rendering rates, gauges, and phase quantiles.
 //! * [`client`] / [`loadgen`] — the companion client and load generator
@@ -64,9 +66,10 @@ pub mod wire;
 pub use chaos::{ChaosConfig, ChaosPlan};
 pub use client::{Client, ClientError};
 pub use loadgen::{run_loadgen, tenant_of, HedgeAfter, LoadgenConfig, LoadgenReport, TenantLoad};
-pub use metrics::{parse_exposition, render_exposition, Exposition};
+pub use metrics::{parse_exposition, render_exposition};
+pub use oblivion_obs::Histogram;
 pub use registry::{Registry, Resolved, RouterHandle, Tenant};
 pub use server::{run, run_registry, Control, ServeConfig, ServeSummary};
-pub use stats::{ChaosEvent, Phase, ServeStats, StatsSnapshot, TenantSnapshot};
+pub use stats::{ChaosEvent, Clause, Phase, ServeStats, StatsSnapshot, TenantSnapshot, Violation};
 pub use top::{run_top, TopConfig};
 pub use wire::{ErrorKind, Request, Response, MAX_REQUEST_ID, MAX_REQUEST_LINE};

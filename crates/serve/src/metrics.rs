@@ -1,13 +1,17 @@
 //! The `METRICS` text exposition: a Prometheus-style rendering of a
-//! [`StatsSnapshot`], plus the parser and conservation validator the
-//! `oblivion top` viewer, the scrape-under-load soak test, and the CI
-//! gate share.
+//! [`StatsSnapshot`], and the strict parser that gives the snapshot back.
+//! Both walk the ledger's one name table ([`SERIES`], [`TENANT_SERIES`],
+//! [`Phase::ALL`]). A parsed scrape is checked with
+//! [`StatsSnapshot::check`], the same law `serve` checks on its drained
+//! ledger — `oblivion top --check`, the soak tests and the `exp_serve*`
+//! binaries all call it.
 //!
 //! Grammar (a strict subset of the Prometheus text format):
 //!
 //! ```text
 //! # TYPE <name> counter|gauge|histogram
 //! <name> <integer>                        (counter/gauge samples)
+//! <name>{mesh="<id>"} <integer>           (per-tenant samples)
 //! <name>_bucket{le="<edge>"} <cum-count>  (histogram, cumulative)
 //! <name>_bucket{le="+Inf"} <count>
 //! <name>_sum <integer>
@@ -17,13 +21,14 @@
 //!
 //! The final `# EOF` line doubles as a truncation guard: a scrape that
 //! lost its tail (killed server, cut socket) fails the parse instead of
-//! passing with quietly missing series. Because the snapshot behind the
-//! exposition is transition-consistent (see [`crate::stats`]), every
-//! successful scrape satisfies [`Exposition::check_conservation`] — even
-//! one taken mid-stampede.
+//! passing with quietly missing series. Every series must be present,
+//! each sample once; an unknown series fails the parse too. The round
+//! trip is exact except for histogram `min`/`max`, which degrade to the
+//! bucket edges the wire carries (so quantiles still resolve to the
+//! same bucket).
 
-use crate::stats::{Phase, StatsSnapshot, TenantSnapshot};
-use oblivion_obs::Histogram;
+use crate::stats::{Phase, Series, StatsSnapshot, TenantSnapshot, SERIES, TENANT_SERIES};
+use crate::Histogram;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::time::Duration;
@@ -36,64 +41,35 @@ const PREFIX: &str = "oblivion_serve_";
 /// counters into rates without wall-clock math of their own.
 pub fn render_exposition(snap: &StatsSnapshot, uptime: Duration) -> String {
     let mut out = String::new();
-    for (name, value) in snap.obs_counters() {
-        let series = name.strip_prefix("serve_").unwrap_or(name);
-        let _ = writeln!(out, "# TYPE {PREFIX}{series} counter");
-        let _ = writeln!(out, "{PREFIX}{series} {value}");
+    for s in &SERIES {
+        let _ = writeln!(out, "# TYPE {PREFIX}{} {}", s.name, s.kind.word());
+        let _ = writeln!(out, "{PREFIX}{} {}", s.name, (s.get)(snap));
     }
-    for (series, value) in [
-        ("queue_depth", snap.queue_depth),
-        ("in_flight", snap.in_flight),
-        ("connections", snap.connections),
-        ("open_conns", snap.open_conns),
-        ("max_queue_depth", snap.max_queue_depth as i64),
-        ("uptime_ms", uptime.as_millis().min(i64::MAX as u128) as i64),
-    ] {
-        let _ = writeln!(out, "# TYPE {PREFIX}{series} gauge");
-        let _ = writeln!(out, "{PREFIX}{series} {value}");
-    }
-    // Per-tenant rows, one `{mesh="<id>"}` labeled sample per tenant
-    // under a shared TYPE declaration. `mesh_state_bytes` is the
-    // registry's accounted routing-state footprint — the memory price
-    // of keeping that mesh registered, in the compact-routing spirit of
-    // measuring state, not assuming it.
+    let _ = writeln!(out, "# TYPE {PREFIX}uptime_ms gauge");
+    let _ = writeln!(
+        out,
+        "{PREFIX}uptime_ms {}",
+        uptime.as_millis().min(i64::MAX as u128)
+    );
+    // Per-tenant rows: one `{mesh="<id>"}` labeled sample per tenant
+    // under a shared TYPE declaration.
     if !snap.tenants.is_empty() {
-        type TenantCounter = fn(&TenantSnapshot) -> u64;
-        let series: [(&str, TenantCounter); 8] = [
-            ("tenant_accepted", |t| t.accepted),
-            ("tenant_completed", |t| t.completed),
-            ("tenant_bad_request", |t| t.bad_request),
-            ("tenant_shed_overloaded", |t| t.shed_overloaded),
-            ("tenant_deadline_exceeded", |t| t.deadline_exceeded),
-            ("tenant_drain_rejected", |t| t.drain_rejected),
-            ("tenant_io_errors", |t| t.io_errors),
-            ("tenant_mesh_retired", |t| t.mesh_retired),
-        ];
-        for (name, get) in series {
-            let _ = writeln!(out, "# TYPE {PREFIX}{name} counter");
+        for s in &TENANT_SERIES {
+            let _ = writeln!(out, "# TYPE {PREFIX}{} {}", s.name, s.kind.word());
             for t in &snap.tenants {
-                let _ = writeln!(out, "{PREFIX}{name}{{mesh=\"{}\"}} {}", t.id, get(t));
+                let _ = writeln!(
+                    out,
+                    "{PREFIX}{}{{mesh=\"{}\"}} {}",
+                    s.name,
+                    t.id,
+                    (s.get)(t)
+                );
             }
         }
-        let _ = writeln!(out, "# TYPE {PREFIX}tenant_in_flight gauge");
-        for t in &snap.tenants {
-            let _ = writeln!(
-                out,
-                "{PREFIX}tenant_in_flight{{mesh=\"{}\"}} {}",
-                t.id, t.in_flight
-            );
-        }
-        let _ = writeln!(out, "# TYPE {PREFIX}mesh_state_bytes gauge");
-        for t in &snap.tenants {
-            let _ = writeln!(
-                out,
-                "{PREFIX}mesh_state_bytes{{mesh=\"{}\"}} {}",
-                t.id, t.state_bytes
-            );
-        }
     }
-    for (phase, hist) in &snap.phases {
-        let name = format!("{PREFIX}phase_{phase}_us");
+    for phase in Phase::ALL {
+        let name = format!("{PREFIX}{}", phase.series());
+        let hist = snap.phase(phase);
         let _ = writeln!(out, "# TYPE {name} histogram");
         let mut cum = 0u64;
         for (i, &count) in hist.buckets.iter().enumerate() {
@@ -112,369 +88,158 @@ pub fn render_exposition(snap: &StatsSnapshot, uptime: Duration) -> String {
     out
 }
 
-/// One parsed histogram series.
-#[derive(Debug, Clone, Default)]
-pub struct HistogramSeries {
-    /// `(le edge, cumulative count)` rows in file order; the `+Inf` row
-    /// is stored as `u64::MAX`.
-    pub buckets: Vec<(u64, u64)>,
-    /// The `_sum` sample.
-    pub sum: u64,
-    /// The `_count` sample.
-    pub count: u64,
-}
-
-/// A parsed `METRICS` exposition.
-#[derive(Debug, Clone, Default)]
-pub struct Exposition {
-    /// Counter samples by full series name.
-    pub counters: BTreeMap<String, u64>,
-    /// Gauge samples by full series name.
-    pub gauges: BTreeMap<String, i64>,
-    /// Histogram series by full series name.
-    pub histograms: BTreeMap<String, HistogramSeries>,
-}
-
-impl Exposition {
-    fn counter(&self, series: &str) -> Result<u64, String> {
-        self.counters
-            .get(&format!("{PREFIX}{series}"))
-            .copied()
-            .ok_or_else(|| format!("exposition is missing counter {PREFIX}{series}"))
-    }
-
-    fn gauge(&self, series: &str) -> Result<i64, String> {
-        self.gauges
-            .get(&format!("{PREFIX}{series}"))
-            .copied()
-            .ok_or_else(|| format!("exposition is missing gauge {PREFIX}{series}"))
-    }
-
-    /// The live conservation law over a scraped exposition:
-    /// `accepted = completed + bad + shed + deadline + drain + io +
-    /// unknown_mesh + mesh_retired + connections`, gauges non-negative,
-    /// every per-phase histogram count `<= accepted` — plus, when
-    /// per-tenant rows are present, each tenant's own law
-    /// `accepted_t = settled_t + in_flight_t` and the cross-law bound
-    /// `sum(accepted_t) <= accepted`. Returns a diagnosis of the first
-    /// violated clause.
-    pub fn check_conservation(&self) -> Result<(), String> {
-        let accepted = self.counter("accepted")?;
-        let settled = self.counter("completed")?
-            + self.counter("bad_request")?
-            + self.counter("shed_overloaded")?
-            + self.counter("deadline_exceeded")?
-            + self.counter("drain_rejected")?
-            + self.counter("io_errors")?
-            + self.counter("unknown_mesh")?
-            + self.counter("mesh_retired")?;
-        let connections = self.gauge("connections")?;
-        for g in ["queue_depth", "in_flight", "connections"] {
-            let v = self.gauge(g)?;
-            if v < 0 {
-                return Err(format!("gauge {PREFIX}{g} is negative: {v}"));
-            }
-        }
-        // Socket churn rides outside the law but must balance itself
-        // (tolerating pre-churn-telemetry expositions with no series).
-        if let (Ok(opened), Ok(closed), Ok(open)) = (
-            self.counter("conns_opened"),
-            self.counter("conns_closed"),
-            self.gauge("open_conns"),
-        ) {
-            if open < 0 || opened != closed + open as u64 {
-                return Err(format!(
-                    "connection churn violated: opened {opened} != closed {closed} \
-                     + open {open}"
-                ));
-            }
-        }
-        // Chaos injection is bookkeeping outside the law, but it has
-        // its own sanity bound: a reset kills a whole connection, so
-        // resets can never exceed the sockets ever opened (tolerating
-        // pre-chaos expositions with no series).
-        if let (Ok(resets), Ok(opened)) =
-            (self.counter("chaos_resets"), self.counter("conns_opened"))
-        {
-            if resets > opened {
-                return Err(format!(
-                    "chaos resets {resets} exceed connections opened {opened}"
-                ));
-            }
-        }
-        if accepted != settled + connections as u64 {
-            return Err(format!(
-                "conservation violated: accepted {accepted} != settled {settled} \
-                 + connections {connections}"
-            ));
-        }
-        // Per-tenant laws: each tenant ledger conserves on its own, and
-        // tenant attribution never claims more than the global ledger
-        // admitted (a line is attributed at parse time, strictly after
-        // its connection was admitted at frame time).
-        let mut tenant_accepted_sum = 0u64;
-        for id in self.tenant_ids() {
-            let t_accepted = self.tenant_counter("tenant_accepted", &id)?;
-            let t_settled = self.tenant_counter("tenant_completed", &id)?
-                + self.tenant_counter("tenant_bad_request", &id)?
-                + self.tenant_counter("tenant_shed_overloaded", &id)?
-                + self.tenant_counter("tenant_deadline_exceeded", &id)?
-                + self.tenant_counter("tenant_drain_rejected", &id)?
-                + self.tenant_counter("tenant_io_errors", &id)?
-                + self.tenant_counter("tenant_mesh_retired", &id)?;
-            let t_in_flight = self.tenant_gauge("tenant_in_flight", &id)?;
-            if t_in_flight < 0 {
-                return Err(format!("tenant {id} in_flight is negative: {t_in_flight}"));
-            }
-            if t_accepted != t_settled + t_in_flight as u64 {
-                return Err(format!(
-                    "tenant {id} conservation violated: accepted {t_accepted} != \
-                     settled {t_settled} + in_flight {t_in_flight}"
-                ));
-            }
-            tenant_accepted_sum += t_accepted;
-        }
-        if tenant_accepted_sum > accepted {
-            return Err(format!(
-                "tenant ledgers over-claim: sum of tenant accepted \
-                 {tenant_accepted_sum} exceeds global accepted {accepted}"
-            ));
-        }
-        for phase in Phase::ALL {
-            let name = format!("{PREFIX}phase_{}_us", phase.name());
-            let h = self
-                .histograms
-                .get(&name)
-                .ok_or_else(|| format!("exposition is missing histogram {name}"))?;
-            if h.count > accepted {
-                return Err(format!(
-                    "phase histogram {name} count {} exceeds accepted {accepted}",
-                    h.count
-                ));
-            }
-            if let Some(&(_, last_cum)) = h.buckets.last() {
-                if last_cum != h.count {
-                    return Err(format!(
-                        "histogram {name} +Inf bucket {last_cum} != count {}",
-                        h.count
-                    ));
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Convenience accessors for renderers: `(accepted, completed, shed
-    /// total, queue_depth, in_flight)`.
-    pub fn headline(&self) -> Result<(u64, u64, u64, i64, i64), String> {
-        Ok((
-            self.counter("accepted")?,
-            self.counter("completed")?,
-            self.counter("shed_overloaded")?
-                + self.counter("deadline_exceeded")?
-                + self.counter("drain_rejected")?,
-            self.gauge("queue_depth")?,
-            self.gauge("in_flight")?,
-        ))
-    }
-
-    /// The uptime gauge, if present.
-    pub fn uptime_ms(&self) -> Option<i64> {
-        self.gauges.get(&format!("{PREFIX}uptime_ms")).copied()
-    }
-
-    /// Mesh ids that have per-tenant rows in this exposition, sorted
-    /// (empty on a single-tenant server with no labeled traffic yet).
-    pub fn tenant_ids(&self) -> Vec<String> {
-        let pre = format!("{PREFIX}tenant_accepted{{mesh=\"");
-        self.counters
-            .keys()
-            .filter_map(|k| {
-                Some(
-                    k.strip_prefix(pre.as_str())?
-                        .strip_suffix("\"}")?
-                        .to_string(),
-                )
-            })
-            .collect()
-    }
-
-    /// A per-tenant counter sample by short series name (e.g.
-    /// `tenant_completed`) and mesh id.
-    pub fn tenant_counter(&self, series: &str, id: &str) -> Result<u64, String> {
-        let name = format!("{PREFIX}{series}{{mesh=\"{id}\"}}");
-        self.counters
-            .get(&name)
-            .copied()
-            .ok_or_else(|| format!("exposition is missing counter {name}"))
-    }
-
-    /// A per-tenant gauge sample (`tenant_in_flight`,
-    /// `mesh_state_bytes`) by mesh id.
-    pub fn tenant_gauge(&self, series: &str, id: &str) -> Result<i64, String> {
-        let name = format!("{PREFIX}{series}{{mesh=\"{id}\"}}");
-        self.gauges
-            .get(&name)
-            .copied()
-            .ok_or_else(|| format!("exposition is missing gauge {name}"))
-    }
-
-    /// A gauge by short series name (without the `oblivion_serve_`
-    /// prefix), defaulting to zero when absent — for renderers that
-    /// prefer a blank-ish value over failing the whole frame.
-    pub fn gauge_or_zero(&self, series: &str) -> i64 {
-        self.gauge(series).unwrap_or(0)
-    }
-
-    /// A phase histogram's `(p50, p99, count)` in microseconds,
-    /// reconstructed from the cumulative buckets.
-    pub fn phase_quantiles(&self, phase: Phase) -> Option<(u64, u64, u64)> {
-        let h = self
-            .histograms
-            .get(&format!("{PREFIX}phase_{}_us", phase.name()))?;
-        let hist = h.to_histogram()?;
-        Some((hist.quantile(0.50), hist.quantile(0.99), hist.count))
-    }
-}
-
-impl HistogramSeries {
-    /// Rebuilds a bucketed [`Histogram`] from the cumulative series
-    /// (min/max degrade to bucket edges — quantiles stay exact at
-    /// bucket granularity).
-    pub fn to_histogram(&self) -> Option<Histogram> {
-        let mut hist = Histogram::new();
-        hist.count = self.count;
-        hist.sum = self.sum;
-        let mut prev = 0u64;
-        for &(hi, cum) in &self.buckets {
-            if hi == u64::MAX {
-                continue;
-            }
-            let n = cum.checked_sub(prev)?;
-            prev = cum;
-            if n == 0 {
-                continue;
-            }
-            let idx = Histogram::bucket_of(hi);
-            if Histogram::bucket_range(idx).1 != hi {
-                return None;
-            }
-            hist.buckets[idx] += n;
-            let (lo, _) = Histogram::bucket_range(idx);
-            hist.min = hist.min.min(lo);
-            hist.max = hist.max.max(hi);
-        }
-        Some(hist)
-    }
-}
-
-/// Parses a `METRICS` exposition, requiring the `# EOF` terminator.
-pub fn parse_exposition(text: &str) -> Result<Exposition, String> {
-    let mut exp = Exposition::default();
-    let mut kinds: BTreeMap<String, &str> = BTreeMap::new();
+/// Parses a `METRICS` exposition back into the snapshot and uptime it
+/// was rendered from (see the module docs for what "strict" means).
+pub fn parse_exposition(text: &str) -> Result<(StatsSnapshot, Duration), String> {
+    let mut wire = Wire::default();
     let mut saw_eof = false;
     for (idx, line) in text.lines().enumerate() {
         let line = line.trim();
-        let at = |msg: &str| format!("line {}: {msg}", idx + 1);
+        let at = |msg: String| format!("line {}: {msg}", idx + 1);
         if line.is_empty() {
             continue;
         }
         if saw_eof {
-            return Err(at("data after # EOF"));
+            return Err(at("data after # EOF".into()));
         }
         if line == "# EOF" {
             saw_eof = true;
-            continue;
-        }
-        if let Some(rest) = line.strip_prefix("# TYPE ") {
+        } else if let Some(rest) = line.strip_prefix("# TYPE ") {
             let mut it = rest.split_ascii_whitespace();
-            let (Some(name), Some(kind), None) = (it.next(), it.next(), it.next()) else {
-                return Err(at("malformed # TYPE line"));
-            };
-            let kind = match kind {
-                "counter" => "counter",
-                "gauge" => "gauge",
-                "histogram" => "histogram",
-                other => return Err(at(&format!("unknown series type `{other}`"))),
-            };
-            kinds.insert(name.to_string(), kind);
-            continue;
-        }
-        if line.starts_with('#') {
-            continue; // other comments are legal noise
-        }
-        let (name, value) = line
-            .rsplit_once(' ')
-            .ok_or_else(|| at("sample line without a value"))?;
-        if let Some((series, label)) = name.split_once("_bucket{le=\"") {
-            let edge = label
-                .strip_suffix("\"}")
-                .ok_or_else(|| at("malformed le label"))?;
-            let edge = if edge == "+Inf" {
-                u64::MAX
-            } else {
-                edge.parse::<u64>()
-                    .map_err(|e| at(&format!("bad le edge: {e}")))?
-            };
-            let cum = value
-                .parse::<u64>()
-                .map_err(|e| at(&format!("bad bucket count: {e}")))?;
-            exp.histograms
-                .entry(series.to_string())
-                .or_default()
-                .buckets
-                .push((edge, cum));
-            continue;
-        }
-        if let Some(series) = name.strip_suffix("_sum") {
-            if kinds.get(series).copied() == Some("histogram") {
-                exp.histograms.entry(series.to_string()).or_default().sum = value
-                    .parse::<u64>()
-                    .map_err(|e| at(&format!("bad _sum: {e}")))?;
-                continue;
+            match (it.next(), it.next(), it.next()) {
+                (Some(name), Some(kind @ ("counter" | "gauge" | "histogram")), None) => {
+                    wire.kinds.insert(name, kind);
+                }
+                _ => return Err(at(format!("malformed `{line}`"))),
             }
-        }
-        if let Some(series) = name.strip_suffix("_count") {
-            if kinds.get(series).copied() == Some("histogram") {
-                exp.histograms.entry(series.to_string()).or_default().count = value
-                    .parse::<u64>()
-                    .map_err(|e| at(&format!("bad _count: {e}")))?;
-                continue;
+        } else if !line.starts_with('#') {
+            let (name, value) = line
+                .rsplit_once(' ')
+                .ok_or_else(|| at("sample line without a value".into()))?;
+            let value = value
+                .parse::<i128>()
+                .map_err(|e| at(format!("bad value for {name}: {e}")))?;
+            if wire.samples.insert(name, value).is_some() {
+                return Err(at(format!("duplicate sample {name}")));
             }
-        }
-        // Labeled samples (`name{mesh="a"} 5`) are declared under their
-        // base name but stored under the full labeled name, so distinct
-        // tenants stay distinct samples.
-        let base = match name.split_once('{') {
-            Some((base, label)) if label.ends_with('}') => base,
-            Some(_) => return Err(at("malformed label set")),
-            None => name,
-        };
-        match kinds.get(base).copied() {
-            Some("counter") => {
-                exp.counters.insert(
-                    name.to_string(),
-                    value
-                        .parse::<u64>()
-                        .map_err(|e| at(&format!("bad counter value: {e}")))?,
-                );
-            }
-            Some("gauge") => {
-                exp.gauges.insert(
-                    name.to_string(),
-                    value
-                        .parse::<i64>()
-                        .map_err(|e| at(&format!("bad gauge value: {e}")))?,
-                );
-            }
-            Some("histogram") => return Err(at("bare sample for a histogram series")),
-            _ => return Err(at(&format!("sample `{name}` without a # TYPE declaration"))),
         }
     }
     if !saw_eof {
         return Err("exposition truncated: missing # EOF terminator".into());
     }
-    Ok(exp)
+    let mut snap = StatsSnapshot::default();
+    for s in &SERIES {
+        wire.scalar(s, &mut snap, "")?;
+    }
+    let uptime = wire.take("uptime_ms", "", "gauge")?;
+    let uptime = u64::try_from(uptime).map_err(|_| format!("negative uptime {uptime}"))?;
+    let rows = format!("{PREFIX}{}{{mesh=\"", TENANT_SERIES[0].name);
+    let mut ids: Vec<String> = (wire.samples.keys())
+        .filter_map(|k| {
+            Some(
+                k.strip_prefix(rows.as_str())?
+                    .strip_suffix("\"}")?
+                    .to_string(),
+            )
+        })
+        .collect();
+    ids.sort_unstable();
+    for id in ids {
+        let label = format!("{{mesh=\"{id}\"}}");
+        let mut t = TenantSnapshot {
+            id,
+            ..TenantSnapshot::default()
+        };
+        for s in &TENANT_SERIES {
+            wire.scalar(s, &mut t, &label)?;
+        }
+        snap.tenants.push(t);
+    }
+    for phase in Phase::ALL {
+        snap.phases[phase as usize] = (phase.name(), wire.histogram(&phase.series())?);
+    }
+    if let Some(name) = wire.samples.keys().next() {
+        return Err(format!("unknown series {name}"));
+    }
+    Ok((snap, Duration::from_millis(uptime)))
+}
+
+/// A tokenized exposition the parser consumes series by series: what is
+/// left once the tables are walked is unknown.
+#[derive(Default)]
+struct Wire<'a> {
+    /// `# TYPE` declarations: full series name to kind word.
+    kinds: BTreeMap<&'a str, &'a str>,
+    /// Samples by full name (labels and suffixes included).
+    samples: BTreeMap<&'a str, i128>,
+}
+
+impl Wire<'_> {
+    /// Removes the sample `oblivion_serve_<series><suffix>`, whose series
+    /// must be declared `kind`.
+    fn take(&mut self, series: &str, suffix: &str, kind: &str) -> Result<i128, String> {
+        let name = format!("{PREFIX}{series}");
+        match self.kinds.get(name.as_str()) {
+            Some(&k) if k == kind => {}
+            Some(k) => return Err(format!("series {name} is declared {k}, not {kind}")),
+            None => return Err(format!("series {name} has no # TYPE {kind} declaration")),
+        }
+        (self.samples.remove(format!("{name}{suffix}").as_str()))
+            .ok_or_else(|| format!("exposition is missing {name}{suffix}"))
+    }
+
+    /// Moves one table row's sample into `into`.
+    fn scalar<T>(&mut self, s: &Series<T>, into: &mut T, label: &str) -> Result<(), String> {
+        let v = self.take(s.name, label, s.kind.word())?;
+        if (s.set)(into, v) {
+            Ok(())
+        } else {
+            Err(format!("{PREFIX}{}{label} {v} is out of range", s.name))
+        }
+    }
+
+    /// Rebuilds a histogram from its cumulative buckets: each finite edge
+    /// must be a bucket's upper edge, edges strictly increase, and the
+    /// last cumulative count, the `+Inf` row and `_count` agree.
+    fn histogram(&mut self, series: &str) -> Result<Histogram, String> {
+        let count = self.take(series, "_count", "histogram")?;
+        let sum = self.take(series, "_sum", "histogram")?;
+        let inf = self.take(series, "_bucket{le=\"+Inf\"}", "histogram")?;
+        let pre = format!("{PREFIX}{series}_bucket{{le=\"");
+        let keys: Vec<&str> = (self.samples.range(pre.as_str()..))
+            .map(|(k, _)| *k)
+            .take_while(|k| k.starts_with(&pre))
+            .collect();
+        let mut rows = Vec::with_capacity(keys.len());
+        for key in keys {
+            let cum = self.samples.remove(key).unwrap_or_default();
+            let edge = key[pre.len()..]
+                .strip_suffix("\"}")
+                .and_then(|e| e.parse().ok());
+            rows.push((edge.ok_or_else(|| format!("bad bucket {key}"))?, cum));
+        }
+        rows.sort_unstable();
+        let mut hist = Histogram::new();
+        let (mut prev, mut last) = (0i128, None);
+        for (edge, cum) in rows {
+            let i = Histogram::bucket_of(edge);
+            if Histogram::bucket_range(i).1 != edge || last >= Some(i) || cum <= prev {
+                return Err(format!("{PREFIX}{series}: bad bucket le=\"{edge}\" {cum}"));
+            }
+            hist.buckets[i] = (cum - prev) as u64;
+            hist.min = hist.min.min(Histogram::bucket_range(i).0);
+            hist.max = edge;
+            (prev, last) = (cum, Some(i));
+        }
+        let bad =
+            || format!("{PREFIX}{series}: count {count}, +Inf {inf}, buckets {prev}, sum {sum}");
+        hist.count = u64::try_from(count).map_err(|_| bad())?;
+        hist.sum = u64::try_from(sum).map_err(|_| bad())?;
+        if inf != count || prev != count {
+            return Err(bad());
+        }
+        Ok(hist)
+    }
 }
 
 #[cfg(test)]
@@ -485,52 +250,86 @@ mod tests {
     fn busy_stats() -> ServeStats {
         let s = ServeStats::default();
         for i in 0..50u64 {
-            s.accept();
+            s.conn_opened();
+            let depth = s.enqueue_started();
             if i % 9 == 0 {
-                s.shed_at_admission();
+                s.shed_connection();
+                s.conn_closed();
                 continue;
             }
-            s.enqueued(i % 4 + 1);
-            s.dequeued();
+            s.enqueue_committed(depth);
+            s.conn_dequeued();
+            s.admit(1);
             s.record_phase(Phase::QueueWait, 10 + i);
             s.record_phase(Phase::Parse, 2);
             s.record_phase(Phase::RouteCompute, 100 + i * 3);
             s.record_phase(Phase::ReplyWrite, 5);
-            s.settle(if i % 11 == 0 {
-                Counter::DeadlineExceeded
-            } else {
-                Counter::Completed
-            });
+            s.settle_batch(
+                if i % 11 == 0 {
+                    Counter::DeadlineExceeded
+                } else {
+                    Counter::Completed
+                },
+                1,
+            );
+            s.conn_closed();
         }
         // Leave some live state on the books: the scrape must conserve
         // anyway.
-        s.accept();
-        s.enqueued(1);
-        s.accept();
-        s.enqueued(2);
-        s.dequeued();
+        s.conn_opened();
+        s.enqueue_started();
+        s.conn_opened();
+        s.enqueue_started();
+        s.conn_dequeued();
+        s.admit(2);
         s
     }
 
     #[test]
     fn exposition_round_trips_and_conserves() {
-        let stats = busy_stats();
-        let text = render_exposition(&stats.snapshot(), Duration::from_millis(1234));
-        let exp = parse_exposition(&text).expect("parse");
-        exp.check_conservation().expect("conservation");
-        assert_eq!(exp.counters["oblivion_serve_accepted"], 52);
-        assert_eq!(exp.gauges["oblivion_serve_connections"], 2);
-        assert_eq!(exp.gauges["oblivion_serve_queue_depth"], 1);
-        assert_eq!(exp.gauges["oblivion_serve_in_flight"], 1);
-        assert_eq!(exp.uptime_ms(), Some(1234));
-        let (p50, p99, count) = exp.phase_quantiles(Phase::RouteCompute).unwrap();
-        assert!(count > 0 && p50 > 0 && p99 >= p50, "{p50} {p99} {count}");
+        let snap = busy_stats().snapshot();
+        let text = render_exposition(&snap, Duration::from_millis(1234));
+        let (back, uptime) = parse_exposition(&text).expect("parse");
+        assert_eq!(back.check(), Ok(()));
+        assert_eq!(uptime, Duration::from_millis(1234));
+        assert_eq!(back.accepted, 52);
+        assert_eq!(
+            (back.connections, back.queue_depth, back.in_flight),
+            (2, 1, 2)
+        );
+        assert_eq!(render_exposition(&back, uptime), text);
+        let (direct, wired) = (
+            snap.phase(Phase::RouteCompute),
+            back.phase(Phase::RouteCompute),
+        );
+        assert_eq!(
+            (wired.count, wired.sum, wired.buckets),
+            (direct.count, direct.sum, direct.buckets)
+        );
+    }
+
+    #[test]
+    fn quantiles_survive_the_wire_format() {
+        let stats = ServeStats::default();
+        for us in [10u64, 20, 30, 40, 50, 5000] {
+            stats.admit(1);
+            stats.record_phase(Phase::RouteCompute, us);
+            stats.settle_batch(Counter::Completed, 1);
+        }
+        let snap = stats.snapshot();
+        let text = render_exposition(&snap, Duration::ZERO);
+        let (back, _) = parse_exposition(&text).unwrap();
+        let (direct, wired) = (
+            snap.phase(Phase::RouteCompute),
+            back.phase(Phase::RouteCompute),
+        );
+        assert_eq!(wired.count, 6);
+        assert_eq!(wired.quantile(0.5), direct.quantile(0.5));
     }
 
     #[test]
     fn truncated_scrape_fails_the_parse() {
-        let stats = busy_stats();
-        let text = render_exposition(&stats.snapshot(), Duration::ZERO);
+        let text = render_exposition(&busy_stats().snapshot(), Duration::ZERO);
         let cut = &text[..text.len() / 2];
         assert!(parse_exposition(cut).is_err());
         let no_eof = text.replace("# EOF\n", "");
@@ -538,83 +337,55 @@ mod tests {
     }
 
     #[test]
-    fn quantiles_survive_the_wire_format() {
-        let stats = ServeStats::default();
-        for us in [10u64, 20, 30, 40, 50, 5000] {
-            stats.accept();
-            stats.enqueued(1);
-            stats.dequeued();
-            stats.record_phase(Phase::RouteCompute, us);
-            stats.settle(Counter::Completed);
-        }
-        let snap = stats.snapshot();
-        let direct = snap.phase(Phase::RouteCompute).quantile(0.5);
-        let text = render_exposition(&snap, Duration::ZERO);
-        let exp = parse_exposition(&text).unwrap();
-        let (p50, _, count) = exp.phase_quantiles(Phase::RouteCompute).unwrap();
-        assert_eq!(count, 6);
-        assert_eq!(p50, direct);
-    }
-
-    #[test]
-    fn tampered_counters_fail_conservation() {
-        let stats = busy_stats();
-        let text = render_exposition(&stats.snapshot(), Duration::ZERO);
-        let mut exp = parse_exposition(&text).unwrap();
-        *exp.counters.get_mut("oblivion_serve_accepted").unwrap() += 1;
-        assert!(exp.check_conservation().is_err());
-        let mut exp = parse_exposition(&text).unwrap();
-        exp.histograms
-            .get_mut("oblivion_serve_phase_parse_us")
-            .unwrap()
-            .count = 10_000;
-        assert!(exp.check_conservation().is_err());
-        let mut exp = parse_exposition(&text).unwrap();
-        *exp.gauges.get_mut("oblivion_serve_in_flight").unwrap() = -1;
-        assert!(exp.check_conservation().is_err());
-    }
-
-    #[test]
-    fn tenant_rows_round_trip_and_conserve() {
-        let stats = busy_stats();
-        stats.set_tenant_state_bytes("a", 4096);
-        stats.set_tenant_state_bytes("b", 1024);
-        stats.tenant_admit("a", 5);
-        stats.tenant_settle("a", Counter::Completed, 3);
-        stats.tenant_settle("a", Counter::ShedOverloaded, 1);
-        stats.tenant_admit("b", 2);
-        stats.tenant_settle("b", Counter::Completed, 2);
-        stats.tenant_mesh_retired("b", 2);
-        let text = render_exposition(&stats.snapshot(), Duration::ZERO);
-        let exp = parse_exposition(&text).expect("parse");
-        exp.check_conservation().expect("conservation");
-        assert_eq!(exp.tenant_ids(), vec!["a".to_string(), "b".to_string()]);
-        assert_eq!(exp.tenant_counter("tenant_accepted", "a").unwrap(), 5);
-        assert_eq!(
-            exp.tenant_counter("tenant_shed_overloaded", "a").unwrap(),
-            1
+    fn missing_unknown_and_garbage_series_are_rejected() {
+        let text = render_exposition(&busy_stats().snapshot(), Duration::ZERO);
+        let without = |series: &str| -> String {
+            (text.lines())
+                .filter(|l| !l.starts_with(series))
+                .map(|l| format!("{l}\n"))
+                .collect()
+        };
+        let err = parse_exposition(&without("oblivion_serve_chaos_resets ")).unwrap_err();
+        assert!(err.contains("missing oblivion_serve_chaos_resets"), "{err}");
+        let err = parse_exposition(&without("oblivion_serve_open_conns ")).unwrap_err();
+        assert!(err.contains("open_conns"), "{err}");
+        let err = parse_exposition(&without("oblivion_serve_phase_parse_us_sum")).unwrap_err();
+        assert!(err.contains("phase_parse_us_sum"), "{err}");
+        let extra = text.replace("# EOF", "# TYPE mystery counter\nmystery 4\n# EOF");
+        assert!(parse_exposition(&extra)
+            .unwrap_err()
+            .contains("unknown series mystery"));
+        let twice = text.replace("# EOF", "oblivion_serve_accepted 52\n# EOF");
+        assert!(parse_exposition(&twice).unwrap_err().contains("duplicate"));
+        let retyped = text.replace("accepted counter", "accepted gauge");
+        assert!(parse_exposition(&retyped)
+            .unwrap_err()
+            .contains("declared gauge"));
+        let negative = text.replace(
+            "\noblivion_serve_completed ",
+            "\noblivion_serve_completed -",
         );
-        assert_eq!(exp.tenant_gauge("tenant_in_flight", "a").unwrap(), 1);
-        assert_eq!(exp.tenant_counter("tenant_mesh_retired", "b").unwrap(), 2);
-        assert_eq!(exp.tenant_gauge("tenant_in_flight", "b").unwrap(), 0);
-        assert_eq!(exp.tenant_gauge("mesh_state_bytes", "a").unwrap(), 4096);
-        assert_eq!(exp.tenant_gauge("mesh_state_bytes", "b").unwrap(), 1024);
-        // Tampering with a tenant row breaks that tenant's own law.
-        let mut bad = parse_exposition(&text).unwrap();
-        *bad.counters
-            .get_mut("oblivion_serve_tenant_accepted{mesh=\"a\"}")
-            .unwrap() += 1;
-        assert!(bad.check_conservation().is_err());
-    }
-
-    #[test]
-    fn unknown_series_and_garbage_are_rejected() {
+        assert!(parse_exposition(&negative)
+            .unwrap_err()
+            .contains("out of range"));
         assert!(parse_exposition("mystery 4\n# EOF\n").is_err());
         assert!(parse_exposition("# TYPE x wibble\nx 1\n# EOF\n").is_err());
         assert!(parse_exposition("# TYPE x counter\nx notanumber\n# EOF\n").is_err());
         assert!(parse_exposition("# EOF\ntrailing 1\n").is_err());
         // Plain comments are fine.
-        let ok = parse_exposition("# HELP something\n# TYPE x counter\nx 1\n# EOF\n").unwrap();
-        assert_eq!(ok.counters["x"], 1);
+        let commented = text.replacen("# TYPE", "# HELP anything\n# TYPE", 1);
+        assert!(parse_exposition(&commented).is_ok());
+    }
+
+    #[test]
+    fn inconsistent_histograms_are_rejected() {
+        let text = render_exposition(&busy_stats().snapshot(), Duration::ZERO);
+        let count = "oblivion_serve_phase_parse_us_count";
+        let bumped = text.replace(&format!("{count} 44"), &format!("{count} 45"));
+        assert_ne!(bumped, text);
+        assert!(parse_exposition(&bumped).is_err());
+        let off_edge = text.replace("parse_us_bucket{le=\"3\"}", "parse_us_bucket{le=\"4\"}");
+        assert_ne!(off_edge, text);
+        assert!(parse_exposition(&off_edge).is_err());
     }
 }

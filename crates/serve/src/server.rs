@@ -75,7 +75,7 @@ use crate::chaos::{ChaosConfig, ChaosPlan};
 use crate::metrics::render_exposition;
 use crate::queue::{Bounded, Pop};
 use crate::registry::{Registry, Resolved, RouterHandle, Tenant};
-use crate::stats::{ChaosEvent, Counter, Phase, ServeStats, StatsSnapshot};
+use crate::stats::{ChaosEvent, Counter, Phase, ServeStats, StatsSnapshot, SERIES};
 use crate::wire::{self, ErrorKind, Framed, Request, MAX_REQUEST_LINE};
 use oblivion_core::{
     build_router, implies_torus, parse_mesh_spec, ObliviousRouter, PathQuery, RoutedPath,
@@ -597,15 +597,13 @@ fn accept_loop(
                         }
                     }
                     Err(inbound) => {
-                        ctl.stats.enqueue_aborted();
                         // Admission control: every queue is full, so
                         // shed *now* with a typed rejection instead of
                         // queueing unboundedly. The whole turned-away
                         // connection is one shed unit. No trace ID on
                         // the reply: no request line was ever read. The
                         // write is best-effort and strictly bounded.
-                        ctl.stats.accept();
-                        ctl.stats.shed_at_admission();
+                        ctl.stats.shed_connection();
                         let _ = wire::write_line(
                             &inbound.stream,
                             &wire::format_err_line(ErrorKind::Overloaded, ""),
@@ -854,7 +852,7 @@ fn service_conn<'a>(
         if let Some(since) = conn.partial_since {
             if Instant::now() >= since + cfg.deadline {
                 ctl.stats.admit(1);
-                ctl.stats.settle(Counter::DeadlineExceeded);
+                ctl.stats.settle_batch(Counter::DeadlineExceeded, 1);
                 let _ = write_nonblocking(
                     &conn.stream,
                     wire::format_err_line(ErrorKind::DeadlineExceeded, "").as_bytes(),
@@ -879,7 +877,7 @@ fn service_conn<'a>(
         if conn.fb.has_partial() {
             // The peer hung up mid-line: one bad-request unit.
             ctl.stats.admit(1);
-            ctl.stats.settle(Counter::BadRequest);
+            ctl.stats.settle_batch(Counter::BadRequest, 1);
         }
         // A clean keep-alive close after the last reply is zero units.
         ctl.stats.conn_closed();
@@ -1422,18 +1420,13 @@ fn serve_stats_json(snap: &StatsSnapshot, uptime: Duration) -> String {
         "uptime_ms",
         uptime.as_millis().min(u128::from(u64::MAX)) as u64,
     );
-    for (name, value) in snap.obs_counters() {
-        obj.set(name, value);
+    for s in &SERIES {
+        obj.set(format!("serve_{}", s.name), (s.get)(snap));
     }
-    obj.set("serve_queue_depth", snap.queue_depth)
-        .set("serve_in_flight", snap.in_flight)
-        .set("serve_connections", snap.connections)
-        .set("serve_open_conns", snap.open_conns)
-        .set("serve_max_queue_depth", snap.max_queue_depth);
-    for (phase, hist) in &snap.phases {
+    for phase in Phase::ALL {
         obj.set(
-            format!("phase_{phase}_us"),
-            oblivion_obs::histogram_json("histogram", phase, hist),
+            phase.series(),
+            oblivion_obs::histogram_json("histogram", phase.name(), snap.phase(phase)),
         );
     }
     obj.to_string()

@@ -1,4 +1,4 @@
-//! Request accounting with a conservation law — now with live gauges and
+//! Request accounting with a conservation law: live gauges and
 //! per-phase latency histograms behind one consistent-snapshot lock.
 //!
 //! The unit of account is the **request line**, not the connection:
@@ -26,16 +26,22 @@
 //! [`ServeStats::snapshot`] copies the whole ledger under that same
 //! mutex — so a `METRICS` scrape taken mid-stampede can never observe a
 //! half-applied transition, even when a worker settles a 64-deep
-//! pipeline burst in one call. The soak tests assert this against live
-//! scrapes; the chaos gate asserts the quiescent law after drain. The
-//! same transitions are mirrored into `oblivion-obs` (when enabled) so
-//! `--metrics-out` run reports carry them.
+//! pipeline burst in one call. [`StatsSnapshot::check`] is the one
+//! implementation of the law: the soak tests run it on live scrapes,
+//! `oblivion top --check` on every frame, and `serve` on its drained
+//! ledger.
+//!
+//! This ledger is serve's only one. [`SERIES`] and [`TENANT_SERIES`]
+//! name its fields once for every rendering: the `METRICS` exposition
+//! and its parser, the flusher's `serve_stats` JSONL line, and the final
+//! `--metrics-out` report.
 //!
 //! Lock cost: two-to-four uncontended mutex acquisitions per request,
 //! nanoseconds against a syscall-bound request path — consistency is
 //! worth far more here than lock-free increments that can tear.
 
-use oblivion_obs::Histogram;
+use crate::Histogram;
+use std::fmt;
 use std::sync::Mutex;
 
 /// The explicit phases a served request moves through, each timed into
@@ -83,30 +89,15 @@ impl Phase {
         }
     }
 
-    /// The `oblivion-obs` runtime-histogram name this phase mirrors to.
-    pub fn obs_name(self) -> &'static str {
-        match self {
-            Phase::Accept => "serve_phase_accept_us",
-            Phase::QueueWait => "serve_phase_queue_wait_us",
-            Phase::Parse => "serve_phase_parse_us",
-            Phase::RouteCompute => "serve_phase_route_compute_us",
-            Phase::ReplyWrite => "serve_phase_reply_write_us",
-        }
-    }
-
-    fn index(self) -> usize {
-        match self {
-            Phase::Accept => 0,
-            Phase::QueueWait => 1,
-            Phase::Parse => 2,
-            Phase::RouteCompute => 3,
-            Phase::ReplyWrite => 4,
-        }
+    /// The phase's histogram series: `oblivion_serve_<series>` in
+    /// `METRICS`, the `<series>` key of a `serve_stats` line.
+    pub(crate) fn series(self) -> String {
+        format!("phase_{}_us", self.name())
     }
 }
 
 /// The terminal buckets of the conservation law, plus bookkeeping
-/// counters — a typed handle so call sites can't typo an obs name.
+/// counters — a typed handle so call sites can't typo a bucket.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Counter {
     /// Request units admitted (framed lines, plus one per connection
@@ -138,37 +129,6 @@ pub enum Counter {
 }
 
 impl Counter {
-    /// The `oblivion-obs` counter this bucket mirrors to.
-    pub fn obs_name(&self) -> &'static str {
-        match self {
-            Counter::Accepted => "serve_accepted",
-            Counter::Completed => "serve_completed",
-            Counter::BadRequest => "serve_bad_request",
-            Counter::ShedOverloaded => "serve_shed_overloaded",
-            Counter::DeadlineExceeded => "serve_deadline_exceeded",
-            Counter::DrainRejected => "serve_drain_rejected",
-            Counter::IoError => "serve_io_errors",
-            Counter::UnknownMesh => "serve_unknown_mesh",
-            Counter::MeshRetired => "serve_mesh_retired",
-            Counter::HealthProbe => "serve_health_probes",
-        }
-    }
-
-    fn index(&self) -> usize {
-        match self {
-            Counter::Accepted => 0,
-            Counter::Completed => 1,
-            Counter::BadRequest => 2,
-            Counter::ShedOverloaded => 3,
-            Counter::DeadlineExceeded => 4,
-            Counter::DrainRejected => 5,
-            Counter::IoError => 6,
-            Counter::UnknownMesh => 7,
-            Counter::MeshRetired => 8,
-            Counter::HealthProbe => 9,
-        }
-    }
-
     /// This bucket's slot in a tenant ledger, when the bucket is
     /// attributable to a tenant (`Accepted`, `UnknownMesh`, and
     /// `HealthProbe` are not: accepted is counted by
@@ -224,29 +184,9 @@ pub enum ChaosEvent {
 /// Number of chaos event kinds.
 pub const CHAOS_EVENT_COUNT: usize = 4;
 
-impl ChaosEvent {
-    /// The `oblivion-obs` counter this event mirrors to.
-    pub fn obs_name(self) -> &'static str {
-        match self {
-            ChaosEvent::Stall => "serve_chaos_stalls",
-            ChaosEvent::SlowWrite => "serve_chaos_slow_writes",
-            ChaosEvent::Reset => "serve_chaos_resets",
-            ChaosEvent::WorkerPause => "serve_chaos_worker_pauses",
-        }
-    }
-
-    fn index(self) -> usize {
-        match self {
-            ChaosEvent::Stall => 0,
-            ChaosEvent::SlowWrite => 1,
-            ChaosEvent::Reset => 2,
-            ChaosEvent::WorkerPause => 3,
-        }
-    }
-}
-
 /// Everything behind the one lock. Gauges are `i64` so an accounting bug
 /// shows up as a visible negative level instead of a wrapped `u64`.
+#[derive(Default)]
 struct Ledger {
     counters: [u64; 10],
     chaos: [u64; CHAOS_EVENT_COUNT],
@@ -261,24 +201,6 @@ struct Ledger {
     phases: [Histogram; PHASE_COUNT],
 }
 
-impl Default for Ledger {
-    fn default() -> Self {
-        Ledger {
-            counters: [0; 10],
-            tenants: std::collections::BTreeMap::new(),
-            chaos: [0; CHAOS_EVENT_COUNT],
-            conns_opened: 0,
-            conns_closed: 0,
-            max_queue_depth: 0,
-            queue_depth: 0,
-            in_flight: 0,
-            connections: 0,
-            open_conns: 0,
-            phases: std::array::from_fn(|_| Histogram::new()),
-        }
-    }
-}
-
 /// Live request accounting (see module docs for the conservation law).
 #[derive(Default)]
 pub struct ServeStats {
@@ -290,23 +212,6 @@ impl ServeStats {
         self.ledger.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// A request unit came on the books: `accepted` and the
-    /// `connections` gauge move together, atomically. Pairs with the
-    /// [`ServeStats::dequeued`]/[`ServeStats::settle`] flow (which moves
-    /// `in_flight` itself); pipelined workers use [`ServeStats::admit`],
-    /// whose units are born in flight.
-    pub fn accept(&self) {
-        {
-            let mut l = self.lock();
-            l.counters[Counter::Accepted.index()] += 1;
-            l.connections += 1;
-        }
-        oblivion_obs::update(|b| {
-            b.counter_add("serve_accepted", 1);
-            b.gauge_add("serve_connections", 1);
-        });
-    }
-
     /// `n` request lines framed off a socket in one burst: they enter
     /// `accepted` and the unsettled-units gauges in a single atomic
     /// transition, so no scrape can see a half-admitted burst.
@@ -314,22 +219,14 @@ impl ServeStats {
         if n == 0 {
             return;
         }
-        {
-            let mut l = self.lock();
-            l.counters[Counter::Accepted.index()] += n;
-            l.connections += n as i64;
-            l.in_flight += n as i64;
-        }
-        oblivion_obs::update(|b| {
-            b.counter_add("serve_accepted", n);
-            b.gauge_add("serve_connections", n as i64);
-            b.gauge_add("serve_in_flight", n as i64);
-        });
+        let mut l = self.lock();
+        l.counters[Counter::Accepted as usize] += n;
+        l.connections += n as i64;
+        l.in_flight += n as i64;
     }
 
     /// `n` admitted units settle into one terminal bucket at once — the
-    /// write-side twin of [`ServeStats::admit`] for a burst answered
-    /// with a single vectored write.
+    /// write-side twin of [`ServeStats::admit`].
     pub fn settle_batch(&self, which: Counter, n: u64) {
         debug_assert!(
             !matches!(which, Counter::Accepted | Counter::HealthProbe),
@@ -338,157 +235,71 @@ impl ServeStats {
         if n == 0 {
             return;
         }
-        {
-            let mut l = self.lock();
-            l.counters[which.index()] += n;
-            l.in_flight -= n as i64;
-            l.connections -= n as i64;
-        }
-        oblivion_obs::update(|b| {
-            b.counter_add(which.obs_name(), n);
-            b.gauge_add("serve_in_flight", -(n as i64));
-            b.gauge_add("serve_connections", -(n as i64));
-        });
+        let mut l = self.lock();
+        l.counters[which as usize] += n;
+        l.in_flight -= n as i64;
+        l.connections -= n as i64;
     }
 
     /// A socket came off the listener: connection-churn telemetry,
     /// outside the conservation law.
     pub fn conn_opened(&self) {
-        {
-            let mut l = self.lock();
-            l.conns_opened += 1;
-            l.open_conns += 1;
-        }
-        oblivion_obs::update(|b| {
-            b.counter_add("serve_conns_opened", 1);
-            b.gauge_add("serve_open_conns", 1);
-        });
+        let mut l = self.lock();
+        l.conns_opened += 1;
+        l.open_conns += 1;
     }
 
     /// A socket closed (any reason). Every [`ServeStats::conn_opened`]
     /// must be paired with exactly one close.
     pub fn conn_closed(&self) {
-        {
-            let mut l = self.lock();
-            l.conns_closed += 1;
-            l.open_conns -= 1;
-        }
-        oblivion_obs::update(|b| {
-            b.counter_add("serve_conns_closed", 1);
-            b.gauge_add("serve_open_conns", -1);
-        });
+        let mut l = self.lock();
+        l.conns_closed += 1;
+        l.open_conns -= 1;
     }
 
     /// A worker adopted a queued connection: the queue-depth gauge
     /// falls, nothing else moves (units are admitted later, as lines are
-    /// framed). Contrast [`ServeStats::dequeued`], the unpipelined
-    /// one-unit-per-connection form.
+    /// framed).
     pub fn conn_dequeued(&self) {
-        {
-            let mut l = self.lock();
-            l.queue_depth -= 1;
-        }
-        oblivion_obs::update(|b| b.gauge_add("serve_queue_depth", -1));
+        self.lock().queue_depth -= 1;
     }
 
     /// Pre-publish half of an enqueue: bumps the queue-depth gauge
     /// *before* the job becomes visible to workers. The acceptor must
     /// call this before the push — otherwise a fast worker's
-    /// [`ServeStats::dequeued`] can land first and a scrape observes a
-    /// negative depth. Returns the provisional depth (the in-queue
-    /// count the moment the push lands).
+    /// [`ServeStats::conn_dequeued`] can land first and a scrape
+    /// observes a negative depth. Returns the provisional depth (the
+    /// in-queue count the moment the push lands).
     pub fn enqueue_started(&self) -> u64 {
-        let depth = {
-            let mut l = self.lock();
-            l.queue_depth += 1;
-            l.queue_depth as u64
-        };
-        oblivion_obs::update(|b| b.gauge_add("serve_queue_depth", 1));
-        depth
+        let mut l = self.lock();
+        l.queue_depth += 1;
+        l.queue_depth as u64
     }
 
     /// Commit half: the push succeeded at `depth` — record the
-    /// high-water mark and the depth histogram. Deliberately *not*
-    /// folded into [`ServeStats::enqueue_started`]: a rejected push
-    /// must leave the high-water mark untouched (the shed job was
-    /// never in the queue).
+    /// high-water mark. Deliberately *not* folded into
+    /// [`ServeStats::enqueue_started`]: a rejected push must leave the
+    /// high-water mark untouched (the shed job was never in the queue).
     pub fn enqueue_committed(&self, depth: u64) {
-        {
-            let mut l = self.lock();
-            l.max_queue_depth = l.max_queue_depth.max(depth);
-        }
-        oblivion_obs::update(|b| b.record("serve_queue_depth_hist", depth));
+        let mut l = self.lock();
+        l.max_queue_depth = l.max_queue_depth.max(depth);
     }
 
-    /// Rollback half: the push was rejected (queue full) — undo the
-    /// provisional depth bump. The caller settles the connection via
-    /// [`ServeStats::shed_at_admission`].
-    pub fn enqueue_aborted(&self) {
-        {
-            let mut l = self.lock();
-            l.queue_depth -= 1;
-        }
-        oblivion_obs::update(|b| b.gauge_add("serve_queue_depth", -1));
-    }
-
-    /// Both enqueue halves at once, for callers with no concurrent
-    /// consumer racing the push.
-    pub fn enqueued(&self, depth: u64) {
-        self.enqueue_started();
-        self.enqueue_committed(depth);
-    }
-
-    /// A worker took a job off the queue: it is now in flight.
-    pub fn dequeued(&self) {
-        {
-            let mut l = self.lock();
-            l.queue_depth -= 1;
-            l.in_flight += 1;
-        }
-        oblivion_obs::update(|b| {
-            b.gauge_add("serve_queue_depth", -1);
-            b.gauge_add("serve_in_flight", 1);
-        });
-    }
-
-    /// A connection shed at admission settles without ever being
-    /// enqueued: terminal bucket and `connections` move together.
-    pub fn shed_at_admission(&self) {
-        {
-            let mut l = self.lock();
-            l.counters[Counter::ShedOverloaded.index()] += 1;
-            l.connections -= 1;
-        }
-        oblivion_obs::update(|b| {
-            b.counter_add("serve_shed_overloaded", 1);
-            b.gauge_add("serve_connections", -1);
-        });
-    }
-
-    /// A dequeued request settles into its terminal bucket; the
-    /// `in_flight` and `connections` gauges fall with it, atomically.
-    pub fn settle(&self, which: Counter) {
-        debug_assert!(
-            !matches!(which, Counter::Accepted | Counter::HealthProbe),
-            "settle takes a terminal bucket"
-        );
-        {
-            let mut l = self.lock();
-            l.counters[which.index()] += 1;
-            l.in_flight -= 1;
-            l.connections -= 1;
-        }
-        oblivion_obs::update(|b| {
-            b.counter_add(which.obs_name(), 1);
-            b.gauge_add("serve_in_flight", -1);
-            b.gauge_add("serve_connections", -1);
-        });
+    /// Rollback half: the push was rejected (every queue full), so the
+    /// connection is turned away whole. In one transition the
+    /// provisional depth bump is undone and the connection books one
+    /// request unit, accepted and shed at once — it never reaches the
+    /// `connections` gauge.
+    pub fn shed_connection(&self) {
+        let mut l = self.lock();
+        l.queue_depth -= 1;
+        l.counters[Counter::Accepted as usize] += 1;
+        l.counters[Counter::ShedOverloaded as usize] += 1;
     }
 
     /// `n` admitted lines were attributed to tenant `id` (their `MESH`
     /// prefix resolved to a live mesh): the tenant's `accepted` and
-    /// `in_flight` move together. Per-tenant transitions are mirrored
-    /// nowhere else — `oblivion-obs` stays global.
+    /// `in_flight` move together.
     pub fn tenant_admit(&self, id: &str, n: u64) {
         if n == 0 {
             return;
@@ -541,40 +352,38 @@ impl ServeStats {
 
     /// A probe answered on the health listener (outside the law).
     pub fn health_probe(&self) {
-        self.lock().counters[Counter::HealthProbe.index()] += 1;
-        oblivion_obs::counter_add("serve_health_probes", 1);
+        self.lock().counters[Counter::HealthProbe as usize] += 1;
     }
 
     /// A chaos event was injected (outside the law — the affected
     /// request units still settle through their normal buckets).
     pub fn chaos_event(&self, event: ChaosEvent) {
-        self.lock().chaos[event.index()] += 1;
-        oblivion_obs::counter_add(event.obs_name(), 1);
+        self.lock().chaos[event as usize] += 1;
     }
 
-    /// Records one phase duration (microseconds) into the live ledger
-    /// and the mirrored obs runtime histogram.
+    /// Records one phase duration (microseconds).
     pub fn record_phase(&self, phase: Phase, us: u64) {
-        self.lock().phases[phase.index()].record(us);
-        oblivion_obs::record_runtime(phase.obs_name(), us);
+        self.lock().phases[phase as usize].record(us);
     }
 
     /// Copies the whole ledger under one lock: the returned snapshot is
-    /// transition-consistent, so [`StatsSnapshot::conserved_live`] holds
-    /// for every snapshot ever taken, even mid-stampede.
+    /// transition-consistent, so [`StatsSnapshot::check`] passes for
+    /// every snapshot ever taken, even mid-stampede.
     pub fn snapshot(&self) -> StatsSnapshot {
         let l = self.lock();
+        let counter = |c: Counter| l.counters[c as usize];
+        let chaos = |e: ChaosEvent| l.chaos[e as usize];
         StatsSnapshot {
-            accepted: l.counters[Counter::Accepted.index()],
-            completed: l.counters[Counter::Completed.index()],
-            bad_request: l.counters[Counter::BadRequest.index()],
-            shed_overloaded: l.counters[Counter::ShedOverloaded.index()],
-            deadline_exceeded: l.counters[Counter::DeadlineExceeded.index()],
-            drain_rejected: l.counters[Counter::DrainRejected.index()],
-            io_errors: l.counters[Counter::IoError.index()],
-            unknown_mesh: l.counters[Counter::UnknownMesh.index()],
-            mesh_retired: l.counters[Counter::MeshRetired.index()],
-            health_probes: l.counters[Counter::HealthProbe.index()],
+            accepted: counter(Counter::Accepted),
+            completed: counter(Counter::Completed),
+            bad_request: counter(Counter::BadRequest),
+            shed_overloaded: counter(Counter::ShedOverloaded),
+            deadline_exceeded: counter(Counter::DeadlineExceeded),
+            drain_rejected: counter(Counter::DrainRejected),
+            io_errors: counter(Counter::IoError),
+            unknown_mesh: counter(Counter::UnknownMesh),
+            mesh_retired: counter(Counter::MeshRetired),
+            health_probes: counter(Counter::HealthProbe),
             tenants: l
                 .tenants
                 .iter()
@@ -592,10 +401,10 @@ impl ServeStats {
                     state_bytes: t.state_bytes,
                 })
                 .collect(),
-            chaos_stalls: l.chaos[ChaosEvent::Stall.index()],
-            chaos_slow_writes: l.chaos[ChaosEvent::SlowWrite.index()],
-            chaos_resets: l.chaos[ChaosEvent::Reset.index()],
-            chaos_worker_pauses: l.chaos[ChaosEvent::WorkerPause.index()],
+            chaos_stalls: chaos(ChaosEvent::Stall),
+            chaos_slow_writes: chaos(ChaosEvent::SlowWrite),
+            chaos_resets: chaos(ChaosEvent::Reset),
+            chaos_worker_pauses: chaos(ChaosEvent::WorkerPause),
             conns_opened: l.conns_opened,
             conns_closed: l.conns_closed,
             max_queue_depth: l.max_queue_depth,
@@ -603,21 +412,24 @@ impl ServeStats {
             in_flight: l.in_flight,
             connections: l.connections,
             open_conns: l.open_conns,
-            phases: Phase::ALL.map(|p| (p.name(), l.phases[p.index()].clone())),
+            phases: Phase::ALL.map(|p| (p.name(), l.phases[p as usize].clone())),
         }
     }
 }
 
 /// A point-in-time, transition-consistent copy of [`ServeStats`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct StatsSnapshot {
-    /// Connections the acceptor took off the listener.
+    /// Request units admitted: framed request lines, plus one per
+    /// connection turned away whole at admission.
     pub accepted: u64,
     /// Requests answered with `OK` (paths and probes).
     pub completed: u64,
     /// Requests answered `ERR BAD_REQUEST`.
     pub bad_request: u64,
-    /// Connections rejected `ERR OVERLOADED` at admission (queue full).
+    /// Request units rejected `ERR OVERLOADED`: one per connection
+    /// turned away whole at admission (every queue full), one per line
+    /// shed by a tenant quota.
     pub shed_overloaded: u64,
     /// Requests answered `ERR DEADLINE_EXCEEDED`.
     pub deadline_exceeded: u64,
@@ -661,87 +473,162 @@ pub struct StatsSnapshot {
     pub phases: [(&'static str, Histogram); PHASE_COUNT],
 }
 
+/// A clause of the serve ledger's law, in the order
+/// [`StatsSnapshot::check`] tests them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Clause {
+    /// A gauge is negative.
+    NegativeGauge,
+    /// Socket churn does not balance: `conns_opened != conns_closed +
+    /// open_conns`.
+    Churn,
+    /// More chaos resets than sockets ever opened (a reset kills a
+    /// whole connection).
+    ChaosResets,
+    /// Tenant attribution over-claims: the tenants' `accepted` sum to
+    /// more than the global `accepted` (a line is attributed only after
+    /// it was admitted).
+    TenantOverClaim,
+    /// The live law: `accepted != settled + connections`.
+    Conservation,
+    /// A phase histogram counts more events than `accepted` (each phase
+    /// fires at most once per admitted unit).
+    PhaseCount,
+    /// A tenant's own law: `in_flight < 0` or `accepted != settled +
+    /// in_flight`.
+    Tenant,
+}
+
+/// The first clause a snapshot violates, with the numbers that break it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Violation {
+    /// Which clause failed.
+    pub clause: Clause,
+    /// A diagnosis naming the offending values.
+    pub detail: String,
+}
+
+impl fmt::Display for Violation {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(&self.detail)
+    }
+}
+
 impl StatsSnapshot {
-    /// Sum of the terminal buckets every accepted connection must land
-    /// in.
+    /// Sum of the terminal buckets every accepted unit must land in.
     pub fn settled(&self) -> u64 {
-        self.completed
-            + self.bad_request
-            + self.shed_overloaded
-            + self.deadline_exceeded
-            + self.drain_rejected
-            + self.io_errors
-            + self.unknown_mesh
-            + self.mesh_retired
+        self.settled_wide() as u64
     }
 
-    /// The per-tenant live laws: every tenant's ledger slice conserves
-    /// on its own (`accepted = settled + in_flight`, gauge
-    /// non-negative), and the tenant-attributed total never exceeds the
-    /// global `accepted` (a line is attributed only after it was
-    /// admitted).
-    pub fn tenants_conserved(&self) -> bool {
-        self.tenants.iter().all(|t| t.conserved_live())
-            && self.tenants.iter().map(|t| t.accepted).sum::<u64>() <= self.accepted
+    /// [`settled`](Self::settled) without overflow: a parsed scrape's
+    /// counters come from outside the program.
+    fn settled_wide(&self) -> u128 {
+        [
+            self.completed,
+            self.bad_request,
+            self.shed_overloaded,
+            self.deadline_exceeded,
+            self.drain_rejected,
+            self.io_errors,
+            self.unknown_mesh,
+            self.mesh_retired,
+        ]
+        .map(u128::from)
+        .iter()
+        .sum()
     }
 
-    /// The quiescent conservation law: every accepted connection is
-    /// settled. Only meaningful after drain or with no request in
-    /// flight; mid-run, use [`conserved_live`](Self::conserved_live).
+    /// The quiescent conservation law: every accepted unit is settled.
+    /// Only meaningful after drain or with no request in flight; mid-run,
+    /// use [`check`](Self::check).
     pub fn conserved(&self) -> bool {
         self.accepted == self.settled()
     }
 
-    /// The live conservation law, valid at every instant: accepted
-    /// connections are either settled or still on the books as open
-    /// `connections`.
-    pub fn conserved_live(&self) -> bool {
-        self.connections >= 0
-            && self.queue_depth >= 0
-            && self.in_flight >= 0
-            && self.open_conns >= 0
-            && self.conns_closed <= self.conns_opened
-            && self.conns_opened == self.conns_closed + self.open_conns as u64
-            && self.accepted == self.settled() + self.connections as u64
-    }
-
-    /// Every phase histogram count is `<= accepted` (each phase fires at
-    /// most once per accepted connection).
-    pub fn phases_within_accepted(&self) -> bool {
-        self.phases.iter().all(|(_, h)| h.count <= self.accepted)
+    /// The ledger's law, valid at every instant: returns the first
+    /// violated [`Clause`]. It holds for every [`ServeStats::snapshot`]
+    /// and for every `METRICS` scrape parsed back into a snapshot.
+    pub fn check(&self) -> Result<(), Violation> {
+        let fail = |clause, detail: String| Err(Violation { clause, detail });
+        for s in SERIES.iter().filter(|s| s.kind == Kind::Gauge) {
+            let v = (s.get)(self);
+            if v < 0 {
+                return fail(
+                    Clause::NegativeGauge,
+                    format!("gauge {} is negative: {v}", s.name),
+                );
+            }
+        }
+        let (opened, closed, open) = (self.conns_opened, self.conns_closed, self.open_conns);
+        if u128::from(opened) != u128::from(closed) + open as u128 {
+            return fail(
+                Clause::Churn,
+                format!(
+                    "connection churn violated: opened {opened} != closed {closed} + open {open}"
+                ),
+            );
+        }
+        if self.chaos_resets > opened {
+            return fail(
+                Clause::ChaosResets,
+                format!(
+                    "chaos resets {} exceed connections opened {opened}",
+                    self.chaos_resets
+                ),
+            );
+        }
+        let claimed: u128 = self.tenants.iter().map(|t| u128::from(t.accepted)).sum();
+        if claimed > u128::from(self.accepted) {
+            return fail(
+                Clause::TenantOverClaim,
+                format!(
+                    "tenant ledgers over-claim: sum of tenant accepted {claimed} exceeds \
+                     global accepted {}",
+                    self.accepted
+                ),
+            );
+        }
+        if u128::from(self.accepted) != self.settled_wide() + self.connections as u128 {
+            return fail(
+                Clause::Conservation,
+                format!(
+                    "conservation violated: accepted {} != settled {} + connections {}",
+                    self.accepted,
+                    self.settled_wide(),
+                    self.connections
+                ),
+            );
+        }
+        if let Some((name, h)) = self.phases.iter().find(|(_, h)| h.count > self.accepted) {
+            return fail(
+                Clause::PhaseCount,
+                format!(
+                    "phase {name} count {} exceeds accepted {}",
+                    h.count, self.accepted
+                ),
+            );
+        }
+        for t in &self.tenants {
+            if t.in_flight < 0 || u128::from(t.accepted) != t.settled_wide() + t.in_flight as u128 {
+                return fail(
+                    Clause::Tenant,
+                    format!(
+                        "tenant {} conservation violated: accepted {} != settled {} + \
+                         in_flight {}",
+                        t.id,
+                        t.accepted,
+                        t.settled_wide(),
+                        t.in_flight
+                    ),
+                );
+            }
+        }
+        Ok(())
     }
 
     /// One phase's histogram.
     pub fn phase(&self, phase: Phase) -> &Histogram {
-        &self.phases[phase.index()].1
-    }
-
-    /// `(obs counter name, value)` for every counter, in declaration
-    /// order.
-    pub fn obs_counters(&self) -> Vec<(&'static str, u64)> {
-        vec![
-            ("serve_accepted", self.accepted),
-            ("serve_completed", self.completed),
-            ("serve_bad_request", self.bad_request),
-            ("serve_shed_overloaded", self.shed_overloaded),
-            ("serve_deadline_exceeded", self.deadline_exceeded),
-            ("serve_drain_rejected", self.drain_rejected),
-            ("serve_io_errors", self.io_errors),
-            ("serve_unknown_mesh", self.unknown_mesh),
-            ("serve_mesh_retired", self.mesh_retired),
-            ("serve_health_probes", self.health_probes),
-            ("serve_chaos_stalls", self.chaos_stalls),
-            ("serve_chaos_slow_writes", self.chaos_slow_writes),
-            ("serve_chaos_resets", self.chaos_resets),
-            ("serve_chaos_worker_pauses", self.chaos_worker_pauses),
-            ("serve_conns_opened", self.conns_opened),
-            ("serve_conns_closed", self.conns_closed),
-        ]
-    }
-
-    /// Total chaos events injected, across every kind.
-    pub fn chaos_events(&self) -> u64 {
-        self.chaos_stalls + self.chaos_slow_writes + self.chaos_resets + self.chaos_worker_pauses
+        &self.phases[phase as usize].1
     }
 
     /// One tenant's ledger slice, by mesh id (`None` if the id has no
@@ -753,7 +640,7 @@ impl StatsSnapshot {
 
 /// A point-in-time copy of one tenant's ledger slice (same snapshot
 /// consistency as the global [`StatsSnapshot`] it rides in).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct TenantSnapshot {
     /// The mesh id.
     pub id: String,
@@ -784,31 +671,135 @@ pub struct TenantSnapshot {
 impl TenantSnapshot {
     /// Sum of this tenant's terminal buckets.
     pub fn settled(&self) -> u64 {
-        self.completed
-            + self.bad_request
-            + self.shed_overloaded
-            + self.deadline_exceeded
-            + self.drain_rejected
-            + self.io_errors
-            + self.mesh_retired
+        self.settled_wide() as u64
     }
 
-    /// The tenant-local live law.
-    pub fn conserved_live(&self) -> bool {
-        self.in_flight >= 0 && self.accepted == self.settled() + self.in_flight as u64
+    fn settled_wide(&self) -> u128 {
+        [
+            self.completed,
+            self.bad_request,
+            self.shed_overloaded,
+            self.deadline_exceeded,
+            self.drain_rejected,
+            self.io_errors,
+            self.mesh_retired,
+        ]
+        .map(u128::from)
+        .iter()
+        .sum()
     }
 }
+
+/// Whether a series is a monotone total or a level that can fall.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Kind {
+    /// A monotone total.
+    Counter,
+    /// An instantaneous level.
+    Gauge,
+}
+
+impl Kind {
+    /// The word `METRICS` declares the series with (`# TYPE <name> <word>`).
+    pub fn word(self) -> &'static str {
+        match self {
+            Kind::Counter => "counter",
+            Kind::Gauge => "gauge",
+        }
+    }
+}
+
+/// One scalar series of a snapshot: its name, its kind, and the field
+/// it reads and writes. Values travel as `i128`, which holds every `u64`
+/// counter and `i64` gauge exactly.
+pub struct Series<T> {
+    /// Series name, without the `oblivion_serve_` / `serve_` prefix.
+    pub name: &'static str,
+    /// Counter or gauge.
+    pub kind: Kind,
+    /// Reads the field.
+    pub get: fn(&T) -> i128,
+    /// Writes the field; `false` when the value does not fit it.
+    pub(crate) set: fn(&mut T, i128) -> bool,
+}
+
+macro_rules! series {
+    ($t:ty: $($kind:ident $name:literal $field:ident,)*) => {
+        [$(Series::<$t> {
+            name: $name,
+            kind: Kind::$kind,
+            get: |s: &$t| s.$field as i128,
+            set: |s: &mut $t, v| v.try_into().map(|v| s.$field = v).is_ok(),
+        },)*]
+    };
+}
+
+/// Every global series, in rendering order. `METRICS` names a row
+/// `oblivion_serve_<name>`; the flusher's `serve_stats` line and the
+/// final run report name it `serve_<name>`.
+pub const SERIES: [Series<StatsSnapshot>; 21] = series![StatsSnapshot:
+    Counter "accepted" accepted,
+    Counter "completed" completed,
+    Counter "bad_request" bad_request,
+    Counter "shed_overloaded" shed_overloaded,
+    Counter "deadline_exceeded" deadline_exceeded,
+    Counter "drain_rejected" drain_rejected,
+    Counter "io_errors" io_errors,
+    Counter "unknown_mesh" unknown_mesh,
+    Counter "mesh_retired" mesh_retired,
+    Counter "health_probes" health_probes,
+    Counter "chaos_stalls" chaos_stalls,
+    Counter "chaos_slow_writes" chaos_slow_writes,
+    Counter "chaos_resets" chaos_resets,
+    Counter "chaos_worker_pauses" chaos_worker_pauses,
+    Counter "conns_opened" conns_opened,
+    Counter "conns_closed" conns_closed,
+    Gauge "queue_depth" queue_depth,
+    Gauge "in_flight" in_flight,
+    Gauge "connections" connections,
+    Gauge "open_conns" open_conns,
+    Gauge "max_queue_depth" max_queue_depth,
+];
+
+/// Every per-tenant series, in rendering order: `METRICS` carries one
+/// `oblivion_serve_<name>{mesh="<id>"}` row per tenant. `mesh_state_bytes`
+/// is the registry's accounted routing-state footprint — the memory
+/// price of keeping that mesh registered.
+pub const TENANT_SERIES: [Series<TenantSnapshot>; 10] = series![TenantSnapshot:
+    Counter "tenant_accepted" accepted,
+    Counter "tenant_completed" completed,
+    Counter "tenant_bad_request" bad_request,
+    Counter "tenant_shed_overloaded" shed_overloaded,
+    Counter "tenant_deadline_exceeded" deadline_exceeded,
+    Counter "tenant_drain_rejected" drain_rejected,
+    Counter "tenant_io_errors" io_errors,
+    Counter "tenant_mesh_retired" mesh_retired,
+    Gauge "tenant_in_flight" in_flight,
+    Gauge "mesh_state_bytes" state_bytes,
+];
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// Walks one connection through a full transition sequence.
+    /// Walks one connection carrying one request line through its full
+    /// transition sequence.
     fn settle_one(s: &ServeStats, bucket: Counter) {
-        s.accept();
-        s.enqueued(1);
-        s.dequeued();
-        s.settle(bucket);
+        s.conn_opened();
+        let depth = s.enqueue_started();
+        s.enqueue_committed(depth);
+        s.conn_dequeued();
+        s.admit(1);
+        s.settle_batch(bucket, 1);
+        s.conn_closed();
+    }
+
+    /// A connection turned away whole at admission.
+    fn shed_one(s: &ServeStats) {
+        s.conn_opened();
+        s.enqueue_started();
+        s.shed_connection();
+        s.conn_closed();
     }
 
     #[test]
@@ -825,50 +816,44 @@ mod tests {
         ] {
             settle_one(&s, c);
         }
-        s.accept();
-        s.shed_at_admission();
+        shed_one(&s);
         let snap = s.snapshot();
         assert_eq!(snap.accepted, 8);
         assert!(snap.conserved(), "{snap:?}");
-        assert!(snap.conserved_live(), "{snap:?}");
+        assert_eq!(snap.check(), Ok(()));
         // Health probes are outside the law.
         s.health_probe();
         assert!(s.snapshot().conserved());
-        // An unsettled accept breaks the quiescent law but not the live
-        // one: the connection is on the books.
-        s.accept();
+        // An unsettled admit breaks the quiescent law but not the live
+        // one: the unit is on the books.
+        s.admit(1);
         let snap = s.snapshot();
         assert!(!snap.conserved());
-        assert!(snap.conserved_live(), "{snap:?}");
+        assert_eq!(snap.check(), Ok(()));
         assert_eq!(snap.connections, 1);
     }
 
     /// The interleaving that motivated the split enqueue: a worker's
-    /// `dequeued()` lands between the acceptor's push and its commit.
-    /// With accounting preceding publication the depth gauge dips to
-    /// zero, never below; a rejected push rolls back cleanly and leaves
-    /// the high-water mark untouched.
+    /// `conn_dequeued()` lands between the acceptor's push and its
+    /// commit. With accounting preceding publication the depth gauge
+    /// dips to zero, never below; a rejected push rolls back cleanly and
+    /// leaves the high-water mark untouched.
     #[test]
     fn pre_publish_enqueue_never_goes_negative() {
         let s = ServeStats::default();
-        s.accept();
         let depth = s.enqueue_started();
         assert_eq!(depth, 1);
-        s.dequeued(); // the race: pop before the commit
+        s.conn_dequeued(); // the race: pop before the commit
         let snap = s.snapshot();
         assert_eq!(snap.queue_depth, 0, "{snap:?}");
         s.enqueue_committed(depth);
-        s.settle(Counter::Completed);
         let snap = s.snapshot();
         assert_eq!(snap.queue_depth, 0);
         assert_eq!(snap.max_queue_depth, 1);
-        assert!(snap.conserved(), "{snap:?}");
 
         let s = ServeStats::default();
-        s.accept();
         s.enqueue_started();
-        s.enqueue_aborted();
-        s.shed_at_admission();
+        s.shed_connection();
         let snap = s.snapshot();
         assert_eq!(snap.queue_depth, 0);
         assert_eq!(
@@ -881,32 +866,22 @@ mod tests {
     #[test]
     fn gauges_track_every_transition() {
         let s = ServeStats::default();
-        s.accept();
+        let gauges = |s: &ServeStats| {
+            let snap = s.snapshot();
+            (snap.connections, snap.queue_depth, snap.in_flight)
+        };
+        let depth = s.enqueue_started();
+        s.enqueue_committed(depth);
+        assert_eq!(gauges(&s), (0, 1, 0));
+        s.conn_dequeued();
+        assert_eq!(gauges(&s), (0, 0, 0));
+        s.admit(2);
+        assert_eq!(gauges(&s), (2, 0, 2));
+        s.settle_batch(Counter::Completed, 2);
+        assert_eq!(gauges(&s), (0, 0, 0));
         let snap = s.snapshot();
-        assert_eq!(
-            (snap.connections, snap.queue_depth, snap.in_flight),
-            (1, 0, 0)
-        );
-        s.enqueued(1);
-        let snap = s.snapshot();
-        assert_eq!(
-            (snap.connections, snap.queue_depth, snap.in_flight),
-            (1, 1, 0)
-        );
-        s.dequeued();
-        let snap = s.snapshot();
-        assert_eq!(
-            (snap.connections, snap.queue_depth, snap.in_flight),
-            (1, 0, 1)
-        );
-        s.settle(Counter::Completed);
-        let snap = s.snapshot();
-        assert_eq!(
-            (snap.connections, snap.queue_depth, snap.in_flight),
-            (0, 0, 0)
-        );
         assert_eq!(snap.max_queue_depth, 1);
-        assert!(snap.conserved_live());
+        assert_eq!(snap.check(), Ok(()));
     }
 
     #[test]
@@ -919,41 +894,45 @@ mod tests {
         s.record_phase(Phase::RouteCompute, 40);
         s.record_phase(Phase::ReplyWrite, 5);
         let snap = s.snapshot();
-        assert!(snap.phases_within_accepted(), "{snap:?}");
+        assert_eq!(snap.check(), Ok(()));
         assert_eq!(snap.phase(Phase::QueueWait).count, 1);
         assert_eq!(snap.phase(Phase::QueueWait).sum, 15);
         for (name, h) in &snap.phases {
             assert_eq!(h.count, 1, "phase {name}");
         }
+        s.record_phase(Phase::Parse, 3);
+        let v = s.snapshot().check().unwrap_err();
+        assert_eq!(v.clause, Clause::PhaseCount, "{v}");
     }
 
+    /// Each table row reads back exactly what it wrote, into a field of
+    /// its own, and no two rows share a name.
     #[test]
-    fn obs_mirror_names_cover_every_counter() {
-        let s = ServeStats::default();
-        s.accept();
-        s.enqueued(3);
-        let names: Vec<&str> = s
-            .snapshot()
-            .obs_counters()
-            .iter()
-            .map(|(n, _)| *n)
-            .collect();
-        assert_eq!(names.len(), 16);
-        assert!(names.contains(&"serve_unknown_mesh"));
-        assert!(names.contains(&"serve_mesh_retired"));
-        assert!(names.contains(&"serve_accepted"));
-        assert!(names.contains(&"serve_shed_overloaded"));
-        assert!(names.contains(&"serve_conns_opened"));
-        assert!(names.contains(&"serve_conns_closed"));
-        for e in [
-            ChaosEvent::Stall,
-            ChaosEvent::SlowWrite,
-            ChaosEvent::Reset,
-            ChaosEvent::WorkerPause,
-        ] {
-            assert!(names.contains(&e.obs_name()), "{}", e.obs_name());
+    fn series_tables_name_each_field_once() {
+        let mut snap = StatsSnapshot::default();
+        for (i, s) in SERIES.iter().enumerate() {
+            assert!((s.set)(&mut snap, 100 + i as i128), "{}", s.name);
         }
-        assert_eq!(s.snapshot().max_queue_depth, 3);
+        for (i, s) in SERIES.iter().enumerate() {
+            assert_eq!((s.get)(&snap), 100 + i as i128, "{}", s.name);
+        }
+        let mut t = TenantSnapshot::default();
+        for (i, s) in TENANT_SERIES.iter().enumerate() {
+            assert!((s.set)(&mut t, 7 + i as i128), "{}", s.name);
+        }
+        for (i, s) in TENANT_SERIES.iter().enumerate() {
+            assert_eq!((s.get)(&t), 7 + i as i128, "{}", s.name);
+        }
+        let mut names: Vec<&str> = SERIES.iter().map(|s| s.name).collect();
+        names.extend(TENANT_SERIES.iter().map(|s| s.name));
+        let n = names.len();
+        names.sort_unstable();
+        names.dedup();
+        assert_eq!(names.len(), n, "duplicate series name");
+        // A counter refuses a negative value; a gauge takes it.
+        assert!(!(SERIES[0].set)(&mut snap, -1));
+        assert!((SERIES[17].set)(&mut snap, -1));
+        assert_eq!(snap.in_flight, -1);
     }
 
     /// Chaos events are bookkeeping outside the law: injecting them
@@ -963,13 +942,13 @@ mod tests {
     fn chaos_events_stay_outside_the_conservation_law() {
         let s = ServeStats::default();
         s.conn_opened();
-        s.enqueued(1);
+        s.enqueue_started();
         s.conn_dequeued();
         s.admit(3);
         s.chaos_event(ChaosEvent::Stall);
         s.chaos_event(ChaosEvent::WorkerPause);
         let snap = s.snapshot();
-        assert!(snap.conserved_live(), "{snap:?}");
+        assert_eq!(snap.check(), Ok(()));
         assert_eq!(snap.chaos_stalls, 1);
         assert_eq!(snap.chaos_worker_pauses, 1);
         // Two stalled lines complete; a reset kills the last one as io.
@@ -979,10 +958,14 @@ mod tests {
         s.conn_closed();
         let snap = s.snapshot();
         assert!(snap.conserved(), "{snap:?}");
-        assert!(snap.conserved_live(), "{snap:?}");
+        assert_eq!(snap.check(), Ok(()));
         assert_eq!(snap.chaos_resets, 1);
-        assert_eq!(snap.chaos_events(), 3);
         assert_eq!((snap.completed, snap.io_errors), (2, 1));
+        // A reset kills a whole connection: more resets than sockets
+        // ever opened is a bookkeeping bug.
+        s.chaos_event(ChaosEvent::Reset);
+        let v = s.snapshot().check().unwrap_err();
+        assert_eq!(v.clause, Clause::ChaosResets, "{v}");
     }
 
     /// The pipelined flow: a worker frames a burst, admits it in one
@@ -992,7 +975,7 @@ mod tests {
     fn batched_admit_and_settle_conserve() {
         let s = ServeStats::default();
         s.conn_opened();
-        s.enqueued(1);
+        s.enqueue_started();
         s.conn_dequeued();
         s.admit(32);
         let snap = s.snapshot();
@@ -1001,15 +984,15 @@ mod tests {
         assert_eq!(snap.in_flight, 32);
         assert_eq!(snap.queue_depth, 0);
         assert_eq!((snap.conns_opened, snap.open_conns), (1, 1));
-        assert!(snap.conserved_live(), "{snap:?}");
+        assert_eq!(snap.check(), Ok(()));
         assert!(!snap.conserved());
         s.settle_batch(Counter::Completed, 30);
-        s.settle(Counter::BadRequest);
-        s.settle(Counter::DeadlineExceeded);
+        s.settle_batch(Counter::BadRequest, 1);
+        s.settle_batch(Counter::DeadlineExceeded, 1);
         s.conn_closed();
         let snap = s.snapshot();
         assert!(snap.conserved(), "{snap:?}");
-        assert!(snap.conserved_live(), "{snap:?}");
+        assert_eq!(snap.check(), Ok(()));
         assert_eq!(snap.completed, 30);
         assert_eq!(
             (snap.in_flight, snap.connections, snap.open_conns),
@@ -1020,22 +1003,24 @@ mod tests {
         s.admit(0);
         s.settle_batch(Counter::Completed, 0);
         assert!(s.snapshot().conserved());
+        // A close without an open breaks the churn balance.
+        s.conn_closed();
+        let v = s.snapshot().check().unwrap_err();
+        assert_eq!(v.clause, Clause::NegativeGauge, "{v}");
     }
 
-    /// A connection turned away whole at admission: one shed unit via
-    /// the accept + shed_at_admission pair, plus open/close churn.
+    /// A connection turned away whole at admission: one shed unit in
+    /// one transition, plus open/close churn.
     #[test]
     fn whole_connection_shed_counts_one_unit() {
         let s = ServeStats::default();
-        s.conn_opened();
-        s.accept();
-        s.shed_at_admission();
-        s.conn_closed();
+        shed_one(&s);
         let snap = s.snapshot();
         assert_eq!(snap.accepted, 1);
         assert_eq!(snap.shed_overloaded, 1);
+        assert_eq!((snap.connections, snap.queue_depth), (0, 0));
         assert!(snap.conserved(), "{snap:?}");
-        assert!(snap.conserved_live(), "{snap:?}");
+        assert_eq!(snap.check(), Ok(()));
     }
 
     /// Tenant ledgers conserve on their own and never over-claim the
@@ -1050,14 +1035,13 @@ mod tests {
         s.tenant_admit("a", 3);
         s.tenant_admit("b", 2); // one admitted line stays unattributed
         let snap = s.snapshot();
-        assert!(snap.tenants_conserved(), "{snap:?}");
+        assert_eq!(snap.check(), Ok(()));
         assert_eq!(snap.tenant("a").unwrap().in_flight, 3);
         assert_eq!(snap.tenant("a").unwrap().state_bytes, 4096);
         // Mid-settle scrape: each law holds on its own ledger.
         s.tenant_settle("a", Counter::Completed, 2);
         s.tenant_settle("a", Counter::ShedOverloaded, 1);
-        let snap = s.snapshot();
-        assert!(snap.tenants_conserved(), "{snap:?}");
+        assert_eq!(s.snapshot().check(), Ok(()));
         s.settle_batch(Counter::Completed, 2);
         s.settle_batch(Counter::ShedOverloaded, 1);
         s.tenant_settle("b", Counter::IoError, 2);
@@ -1071,8 +1055,7 @@ mod tests {
         s.settle_batch(Counter::BadRequest, 1);
         let snap = s.snapshot();
         assert!(snap.conserved(), "{snap:?}");
-        assert!(snap.conserved_live(), "{snap:?}");
-        assert!(snap.tenants_conserved(), "{snap:?}");
+        assert_eq!(snap.check(), Ok(()));
         let b = snap.tenant("b").unwrap();
         assert_eq!((b.accepted, b.io_errors, b.mesh_retired), (3, 2, 1));
         assert_eq!(b.state_bytes, 0);
@@ -1085,6 +1068,10 @@ mod tests {
             ["a", "b"],
             "snapshot rows sort by mesh id"
         );
+        // An unpaired tenant settle breaks that tenant's own law.
+        s.tenant_settle("a", Counter::Completed, 1);
+        let v = s.snapshot().check().unwrap_err();
+        assert_eq!(v.clause, Clause::Tenant, "{v}");
     }
 
     #[test]
@@ -1098,33 +1085,34 @@ mod tests {
             for _ in 0..4 {
                 scope.spawn(|| {
                     for i in 0..2_000u64 {
-                        s.accept();
                         if i % 7 == 0 {
-                            s.shed_at_admission();
-                        } else {
-                            s.enqueued(1);
-                            s.dequeued();
-                            s.record_phase(Phase::RouteCompute, i % 100);
-                            s.settle(if i % 3 == 0 {
+                            shed_one(&s);
+                            continue;
+                        }
+                        s.conn_opened();
+                        let depth = s.enqueue_started();
+                        s.enqueue_committed(depth);
+                        s.conn_dequeued();
+                        s.admit(1);
+                        s.record_phase(Phase::RouteCompute, i % 100);
+                        s.settle_batch(
+                            if i % 3 == 0 {
                                 Counter::DeadlineExceeded
                             } else {
                                 Counter::Completed
-                            });
-                        }
+                            },
+                            1,
+                        );
+                        s.conn_closed();
                     }
                 });
             }
             scope.spawn(|| {
                 for _ in 0..5_000 {
                     let snap = s.snapshot();
-                    assert!(
-                        snap.conserved_live(),
-                        "inconsistent scrape: accepted {} settled {} connections {}",
-                        snap.accepted,
-                        snap.settled(),
-                        snap.connections
-                    );
-                    assert!(snap.phases_within_accepted());
+                    if let Err(v) = snap.check() {
+                        panic!("inconsistent scrape: {v}");
+                    }
                 }
             });
         });

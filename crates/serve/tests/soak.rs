@@ -193,11 +193,11 @@ fn metrics_scrapes_conserve_under_full_overload() {
         let mut last_accepted = 0u64;
         while !stampede.is_finished() || scrapes < 10 {
             let text = scraper.scrape().expect("scrape failed under load");
-            let exp = parse_exposition(&text)
+            let (exp, _) = parse_exposition(&text)
                 .unwrap_or_else(|why| panic!("unparseable scrape #{scrapes}: {why}\n{text}"));
-            exp.check_conservation()
+            exp.check()
                 .unwrap_or_else(|why| panic!("scrape #{scrapes} violates conservation: {why}"));
-            let (accepted, ..) = exp.headline().expect("headline");
+            let accepted = exp.accepted;
             assert!(
                 accepted >= last_accepted,
                 "accepted went backwards: {last_accepted} -> {accepted}"
@@ -214,7 +214,7 @@ fn metrics_scrapes_conserve_under_full_overload() {
         let summary = server.join().expect("server panicked").expect("run failed");
         let s = &summary.stats;
         assert!(s.conserved(), "{s:?}");
-        assert!(s.phases_within_accepted(), "{s:?}");
+        assert_eq!(s.check(), Ok(()), "{s:?}");
         // The stampede really drove every phase.
         for (name, h) in &s.phases {
             assert!(h.count > 0, "phase {name} never recorded");

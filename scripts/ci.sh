@@ -181,8 +181,8 @@ metrics_gate() {
   local flushed reported
   flushed=$(grep '"type":"serve_stats"' "$tmp/telemetry.jsonl" | tail -1 \
     | grep -o '"serve_accepted":[0-9]*' | grep -o '[0-9]*$' || true)
-  reported=$(grep '"name":"serve_accepted"' "$tmp/telemetry.jsonl" | tail -1 \
-    | grep -o '"value":[0-9]*' | grep -o '[0-9]*$' || true)
+  reported=$(grep '"type":"report"' "$tmp/telemetry.jsonl" | tail -1 \
+    | grep -o '"serve_accepted":[0-9]*' | grep -o '[0-9]*$' || true)
   if [[ -z "$flushed" || -z "$reported" || "$flushed" != "$reported" ]]; then
     echo "metrics gate: flusher stream (accepted=${flushed:-missing}) and" \
       "final report (accepted=${reported:-missing}) disagree" >&2
@@ -315,13 +315,13 @@ unwrap_gate() {
 timed "unwrap/expect gate (workloads, faults, serve)" \
   unwrap_gate
 
-# The request server and the load generator wait on readiness (poll +
-# wake pipes), never on a timer: any thread::sleep( in non-test code of
-# server.rs or loadgen.rs needs a `// ci-allow-sleep: why` note on the
-# same line. Only the sleeps that *are* the behavior carry one: the
-# chaos worker pause, the simulated service time, and the chaos
-# slow-write stall in the server; the retry backoff and the open-loop
-# pacing wait in the load generator.
+# The request server, the load generator and `oblivion top` wait on
+# readiness (poll + wake pipes, the shutdown latch), never on a timer:
+# any thread::sleep( in non-test code of server.rs, loadgen.rs or top.rs
+# needs a `// ci-allow-sleep: why` note on the same line. Only the
+# sleeps that *are* the behavior carry one: the chaos worker pause, the
+# simulated service time, and the chaos slow-write stall in the server;
+# the retry backoff and the open-loop pacing wait in the load generator.
 sleep_gate() {
   awk '
     FNR == 1 { intest = 0 }
@@ -332,14 +332,14 @@ sleep_gate() {
       found = 1
     }
     END { exit found ? 1 : 0 }
-  ' crates/serve/src/server.rs crates/serve/src/loadgen.rs || {
-    echo "unannotated thread::sleep( in crates/serve/src/{server,loadgen}.rs:" \
+  ' crates/serve/src/server.rs crates/serve/src/loadgen.rs crates/serve/src/top.rs || {
+    echo "unannotated thread::sleep( in crates/serve/src/{server,loadgen,top}.rs:" \
       "park on readiness instead, or add \`// ci-allow-sleep: <why>\`" >&2
     return 1
   }
 }
 
-timed "sleep gate (serve request path, loadgen)" \
+timed "sleep gate (serve request path, loadgen, top)" \
   sleep_gate
 
 echo "ci: all checks passed"

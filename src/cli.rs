@@ -1347,10 +1347,9 @@ fn cmd_serve(args: &Args) -> Result<String, String> {
     if let Some(c) = &cfg.chaos {
         report_field("serve_chaos_seed", c.seed);
     }
-    for (name, value) in s.obs_counters() {
-        report_field(name, value);
+    for series in &oblivion_serve::stats::SERIES {
+        report_field(&format!("serve_{}", series.name), (series.get)(s));
     }
-    report_field("serve_max_queue_depth", s.max_queue_depth);
     report_field(
         "serve_counters_conserved",
         if s.conserved() { 1u64 } else { 0 },
@@ -1413,14 +1412,9 @@ fn cmd_serve(args: &Args) -> Result<String, String> {
             s.settled()
         ));
     }
-    if !s.tenants_conserved() {
+    if let Err(why) = s.check() {
         return Err(format!(
-            "serve: per-tenant ledgers do not conserve or over-claim the global ledger\n{out}"
-        ));
-    }
-    if !s.phases_within_accepted() {
-        return Err(format!(
-            "serve: a phase histogram recorded more events than accepted connections\n{out}"
+            "serve: the drained ledger breaks its law: {why}\n{out}"
         ));
     }
     Ok(out)
@@ -1447,7 +1441,7 @@ fn cmd_top(args: &Args) -> Result<String, String> {
     report_field("top_scrapes", summary.scrapes);
     report_field("top_scrape_errors", summary.scrape_errors);
     report_field("top_violations", summary.violations);
-    if summary.scrapes == 0 {
+    if summary.scrapes == 0 && !oblivion_signal::shutdown_requested() {
         return Err(format!(
             "top: no successful scrape of {} ({} attempts failed)",
             cfg.addr, summary.scrape_errors

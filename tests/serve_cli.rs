@@ -294,6 +294,47 @@ fn metrics_scrape_top_and_flusher_lifecycle() {
 }
 
 #[test]
+fn top_exits_promptly_on_sigint_mid_interval() {
+    // Between scrapes `oblivion top` parks on the shutdown latch, so a
+    // SIGINT ends even a 10 s interval at once, and exits 0: a watcher
+    // its user stopped has not failed. Nothing listens on the port, so
+    // the one scrape fails fast.
+    let port = free_port();
+    let mut top = oblivion()
+        .args(["top", "--port", &port.to_string(), "--interval-ms", "10000"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn top");
+    // The first frame is written after the signal handler is installed.
+    let mut frames = BufReader::new(top.stdout.take().expect("stdout piped"));
+    let mut first = String::new();
+    frames.read_line(&mut first).expect("read first frame");
+    assert!(first.contains("scrape #1"), "{first}");
+    let sent = Instant::now();
+    let status = Command::new("kill")
+        .args(["-INT", &top.id().to_string()])
+        .status()
+        .expect("spawn kill");
+    assert!(status.success(), "kill -INT failed");
+    let status = loop {
+        if let Some(status) = top.try_wait().expect("try_wait") {
+            break status;
+        }
+        if sent.elapsed() > Duration::from_secs(2) {
+            let _ = top.kill();
+            let _ = top.wait();
+            panic!("top still running 2 s after SIGINT");
+        }
+        std::thread::sleep(Duration::from_millis(10));
+    };
+    let mut rest = String::new();
+    use std::io::Read as _;
+    let _ = frames.read_to_string(&mut rest);
+    assert_eq!(status.code(), Some(0), "stdout: {first}{rest}");
+}
+
+#[test]
 fn serve_health_probe_via_loadgen_port_collision() {
     // The default health port is request-port + 1; both listeners must
     // come up and the health one must answer HEALTH over a raw socket.
