@@ -14,10 +14,11 @@
 //!   but no bridges, so nearby pairs straddling a high cut climb to the
 //!   root: stretch `Θ(n^{1/d}/dist)` — the pathology the paper fixes.
 
+use crate::chain::{select, walk_chain};
 use crate::randbits::BitMeter;
 use crate::router::{ObliviousRouter, RoutedPath};
-use crate::subpath::{dim_by_dim, extend_dim_by_dim};
-use oblivion_mesh::{Coord, Mesh, Path, Submesh};
+use crate::subpath::extend_dim_by_dim;
+use oblivion_mesh::{Coord, Mesh, Submesh};
 use rand::RngCore;
 
 /// Deterministic dimension-order routing with a fixed axis order.
@@ -56,11 +57,12 @@ impl ObliviousRouter for DimOrder {
         &self.mesh
     }
 
-    fn select_path(&self, s: &Coord, t: &Coord, _rng: &mut dyn RngCore) -> RoutedPath {
-        RoutedPath {
-            path: Path::new_unchecked(dim_by_dim(&self.mesh, s, t, &self.order)),
-            random_bits: 0,
-        }
+    fn select_path(&self, s: &Coord, t: &Coord, rng: &mut dyn RngCore) -> RoutedPath {
+        select(rng, false, |sc, _| {
+            let mut cur = *s;
+            sc.walk.push(cur);
+            extend_dim_by_dim(&self.mesh, &mut cur, t, &self.order, &mut sc.walk);
+        })
     }
 }
 
@@ -87,12 +89,13 @@ impl ObliviousRouter for RandomDimOrder {
     }
 
     fn select_path(&self, s: &Coord, t: &Coord, rng: &mut dyn RngCore) -> RoutedPath {
-        let mut meter = BitMeter::new(rng);
-        let order = meter.dim_order(self.mesh.dim());
-        RoutedPath {
-            path: Path::new_unchecked(dim_by_dim(&self.mesh, s, t, &order)),
-            random_bits: meter.bits_used(),
-        }
+        let d = self.mesh.dim();
+        select(rng, false, |sc, meter| {
+            let order = meter.dim_order(d);
+            let mut cur = *s;
+            sc.walk.push(cur);
+            extend_dim_by_dim(&self.mesh, &mut cur, t, &order[..d], &mut sc.walk);
+        })
     }
 }
 
@@ -130,28 +133,35 @@ impl ObliviousRouter for Valiant {
     }
 
     fn select_path(&self, s: &Coord, t: &Coord, rng: &mut dyn RngCore) -> RoutedPath {
-        if s == t {
-            return RoutedPath {
-                path: Path::trivial(*s),
-                random_bits: 0,
-            };
-        }
-        let mut meter = BitMeter::new(rng);
-        let w = meter.uniform_node(&Submesh::whole(&self.mesh));
-        let mut nodes = vec![*s];
-        let mut cur = *s;
-        let order1 = meter.dim_order(self.mesh.dim());
-        extend_dim_by_dim(&self.mesh, &mut cur, &w, &order1, &mut nodes);
-        let order2 = meter.dim_order(self.mesh.dim());
-        extend_dim_by_dim(&self.mesh, &mut cur, t, &order2, &mut nodes);
-        let mut path = Path::new_unchecked(nodes);
-        if self.remove_cycles {
-            path.remove_cycles();
-        }
-        RoutedPath {
-            path,
-            random_bits: meter.bits_used(),
-        }
+        let whole = Submesh::whole(&self.mesh);
+        select(rng, self.remove_cycles, |sc, meter| {
+            two_legs(&self.mesh, s, t, &whole, meter, &mut sc.walk);
+        })
+    }
+}
+
+/// Pushes the two-leg walk `s → w → t` onto `walk`, for a uniform
+/// way-point `w` of `box_`, each leg dimension-ordered under its own
+/// random axis order (Valiant with the whole mesh, ROMM with the
+/// bounding box). A trivial pair draws no bits.
+pub(crate) fn two_legs(
+    mesh: &Mesh,
+    s: &Coord,
+    t: &Coord,
+    box_: &Submesh,
+    meter: &mut BitMeter<'_>,
+    walk: &mut Vec<Coord>,
+) {
+    walk.push(*s);
+    if s == t {
+        return;
+    }
+    let d = mesh.dim();
+    let w = meter.uniform_node(box_);
+    let mut cur = *s;
+    for to in [&w, t] {
+        let order = meter.dim_order(d);
+        extend_dim_by_dim(mesh, &mut cur, to, &order[..d], walk);
     }
 }
 
@@ -190,8 +200,17 @@ impl AccessTree {
     /// The type-1-only bitonic chain: up to the least common *tree*
     /// ancestor, then down.
     pub fn chain(&self, s: &Coord, t: &Coord) -> Vec<Submesh> {
+        let mut chain = Vec::new();
+        self.chain_into(s, t, &mut chain);
+        chain
+    }
+
+    /// [`Self::chain`] into a caller-owned buffer (cleared first).
+    fn chain_into(&self, s: &Coord, t: &Coord, chain: &mut Vec<Submesh>) {
+        chain.clear();
+        chain.push(Submesh::point(*s));
         if s == t {
-            return vec![Submesh::point(*s)];
+            return;
         }
         let k = self.decomp.k();
         // Tree LCA: lowest height whose type-1 block contains both.
@@ -203,8 +222,6 @@ impl AccessTree {
                 break;
             }
         }
-        let mut chain = Vec::with_capacity(2 * lca_height as usize + 1);
-        chain.push(Submesh::point(*s));
         for height in 1..=lca_height {
             chain.push(self.decomp.type1_block(k - height, s));
         }
@@ -213,7 +230,6 @@ impl AccessTree {
         }
         chain.push(Submesh::point(*t));
         chain.dedup();
-        chain
     }
 }
 
@@ -227,16 +243,10 @@ impl ObliviousRouter for AccessTree {
     }
 
     fn select_path(&self, s: &Coord, t: &Coord, rng: &mut dyn RngCore) -> RoutedPath {
-        let chain = self.chain(s, t);
-        let mut meter = BitMeter::new(rng);
-        let mut path = crate::chain::path_through_chain(&self.mesh, &chain, self.mode, &mut meter);
-        if self.remove_cycles {
-            path.remove_cycles();
-        }
-        RoutedPath {
-            path,
-            random_bits: meter.bits_used(),
-        }
+        select(rng, self.remove_cycles, |sc, meter| {
+            self.chain_into(s, t, &mut sc.chain);
+            walk_chain(&self.mesh, &sc.chain, self.mode, meter, None, &mut sc.walk);
+        })
     }
 }
 

@@ -11,12 +11,11 @@
 //! * congestion `O(C* log n)` w.h.p. for every routing problem
 //!   (Theorem 3.9).
 
-use crate::chain::{path_through_chain, RandomnessMode};
-use crate::randbits::BitMeter;
-use crate::router::{ObliviousRouter, PathQuery, RoutedPath};
+use crate::chain::{select, walk_chain, RandomnessMode};
+use crate::router::{ObliviousRouter, RoutedPath};
 use oblivion_decomp::Decomp2;
-use oblivion_mesh::{Coord, Mesh, Path, Submesh};
-use rand::{RngCore, SeedableRng};
+use oblivion_mesh::{Coord, Mesh, Submesh};
+use rand::RngCore;
 
 /// The 2-D bridge router of Busch, Magdon-Ismail & Xi.
 #[derive(Debug, Clone)]
@@ -113,43 +112,17 @@ impl ObliviousRouter for Busch2D {
     }
 
     fn select_path(&self, s: &Coord, t: &Coord, rng: &mut dyn RngCore) -> RoutedPath {
-        let chain = self.chain(s, t);
-        let mut meter = BitMeter::new(rng);
-        let mut path: Path = path_through_chain(&self.mesh, &chain, self.mode, &mut meter);
-        if self.remove_cycles {
-            path.remove_cycles();
-        }
-        RoutedPath {
-            path,
-            random_bits: meter.bits_used(),
-        }
-    }
-
-    fn route_batch(&self, queries: &[PathQuery], out: &mut Vec<RoutedPath>) {
-        out.clear();
-        out.reserve(queries.len());
-        let mut chain: Vec<Submesh> = Vec::new();
-        for q in queries {
-            // Fresh per-query seeding keeps every answer byte-identical
-            // to a single-shot select_path; only the scratch is shared.
-            let mut rng = rand::rngs::StdRng::seed_from_u64(q.seed);
-            self.chain_into(&q.src, &q.dst, &mut chain);
-            let mut meter = BitMeter::new(&mut rng);
-            let mut path: Path = path_through_chain(&self.mesh, &chain, self.mode, &mut meter);
-            if self.remove_cycles {
-                path.remove_cycles();
-            }
-            out.push(RoutedPath {
-                path,
-                random_bits: meter.bits_used(),
-            });
-        }
+        select(rng, self.remove_cycles, |sc, meter| {
+            self.chain_into(s, t, &mut sc.chain);
+            walk_chain(&self.mesh, &sc.chain, self.mode, meter, None, &mut sc.walk);
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::router::PathQuery;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 

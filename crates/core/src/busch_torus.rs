@@ -7,12 +7,11 @@
 //! pathologies — the pair `(0, …)` / `(2^k−1, …)` is adjacent and gets an
 //! `O(d)`-side bridge like any other neighbor pair.
 
-use crate::randbits::{BitMeter, DonorNode};
+use crate::chain::{select, walk_chain};
 use crate::router::{ObliviousRouter, RoutedPath};
-use crate::subpath::extend_dim_by_dim;
 use crate::RandomnessMode;
 use oblivion_decomp::{TorusBlock, TorusDecomp};
-use oblivion_mesh::{Coord, Mesh, Path};
+use oblivion_mesh::{Coord, Mesh};
 use rand::RngCore;
 
 /// Algorithm H on the equal-side power-of-two torus.
@@ -53,14 +52,21 @@ impl BuschTorus {
     /// The block chain for `(s, t)`: `{s}`, type-1 blocks up to height
     /// `ĥ`, the bridge, mirrored blocks down to `{t}`.
     pub fn chain(&self, s: &Coord, t: &Coord) -> Vec<TorusBlock> {
+        let mut chain = Vec::new();
+        self.chain_into(s, t, &mut chain);
+        chain
+    }
+
+    /// [`Self::chain`] into a caller-owned buffer (cleared first).
+    fn chain_into(&self, s: &Coord, t: &Coord, chain: &mut Vec<TorusBlock>) {
         let side = self.decomp.side();
+        chain.clear();
+        chain.push(TorusBlock::new(*s, 1, side));
         if s == t {
-            return vec![TorusBlock::new(*s, 1, side)];
+            return;
         }
         let k = self.decomp.k();
         let plan = self.decomp.find_bridge(&self.mesh, s, t);
-        let mut chain = Vec::with_capacity(2 * plan.h_hat as usize + 3);
-        chain.push(TorusBlock::new(*s, 1, side));
         for height in 1..=plan.h_hat {
             chain.push(self.decomp.type1_block(k - height, s));
         }
@@ -70,24 +76,6 @@ impl BuschTorus {
         }
         chain.push(TorusBlock::new(*t, 1, side));
         chain.dedup();
-        chain
-    }
-
-    /// Samples a uniform node of a block using donor bits (every torus
-    /// block has a power-of-two side, so this is always exact).
-    fn donor_node(&self, block: &TorusBlock, donor: &DonorNode) -> Coord {
-        let bits = block.side().trailing_zeros();
-        let offsets: Vec<u32> = (0..self.mesh.dim())
-            .map(|i| donor.low_bits(i, bits))
-            .collect();
-        block.node_at_offset(&offsets)
-    }
-
-    fn fresh_node(&self, block: &TorusBlock, meter: &mut BitMeter<'_>) -> Coord {
-        let offsets: Vec<u32> = (0..self.mesh.dim())
-            .map(|_| meter.below(u64::from(block.side())) as u32)
-            .collect();
-        block.node_at_offset(&offsets)
     }
 }
 
@@ -101,58 +89,17 @@ impl ObliviousRouter for BuschTorus {
     }
 
     fn select_path(&self, s: &Coord, t: &Coord, rng: &mut dyn RngCore) -> RoutedPath {
-        if s == t {
-            return RoutedPath {
-                path: Path::trivial(*s),
-                random_bits: 0,
-            };
-        }
-        let chain = self.chain(s, t);
-        let d = self.mesh.dim();
-        let mut meter = BitMeter::new(rng);
-        let mut nodes = vec![*s];
-        let mut cur = *s;
-        match self.mode {
-            RandomnessMode::Fresh => {
-                for (i, block) in chain.iter().enumerate().skip(1) {
-                    let v = if i + 1 == chain.len() {
-                        *t
-                    } else {
-                        self.fresh_node(block, &mut meter)
-                    };
-                    let order = meter.dim_order(d);
-                    extend_dim_by_dim(&self.mesh, &mut cur, &v, &order, &mut nodes);
-                }
-            }
-            RandomnessMode::Recycled => {
-                let order = meter.dim_order(d);
-                let width = chain
-                    .iter()
-                    .map(|b| b.side().trailing_zeros())
-                    .max()
-                    .unwrap_or(0);
-                let donors = [
-                    DonorNode::draw(&mut meter, d, width),
-                    DonorNode::draw(&mut meter, d, width),
-                ];
-                for (i, block) in chain.iter().enumerate().skip(1) {
-                    let v = if i + 1 == chain.len() {
-                        *t
-                    } else {
-                        self.donor_node(block, &donors[i % 2])
-                    };
-                    extend_dim_by_dim(&self.mesh, &mut cur, &v, &order, &mut nodes);
-                }
-            }
-        }
-        let mut path = Path::new_unchecked(nodes);
-        if self.remove_cycles {
-            path.remove_cycles();
-        }
-        RoutedPath {
-            path,
-            random_bits: meter.bits_used(),
-        }
+        select(rng, self.remove_cycles, |sc, meter| {
+            self.chain_into(s, t, &mut sc.torus_chain);
+            walk_chain(
+                &self.mesh,
+                &sc.torus_chain,
+                self.mode,
+                meter,
+                None,
+                &mut sc.walk,
+            );
+        })
     }
 }
 

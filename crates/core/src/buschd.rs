@@ -10,12 +10,11 @@
 //! * congestion `O(d² C* log n)` w.h.p. (Theorem 4.3);
 //! * `O(d log(D'd))` random bits per packet in recycled mode (Lemma 5.4).
 
-use crate::chain::{path_through_chain, RandomnessMode};
-use crate::randbits::BitMeter;
-use crate::router::{ObliviousRouter, PathQuery, RoutedPath};
+use crate::chain::{select, walk_chain, RandomnessMode};
+use crate::router::{ObliviousRouter, RoutedPath};
 use oblivion_decomp::DecompD;
-use oblivion_mesh::{Coord, Mesh, Path, Submesh};
-use rand::{RngCore, SeedableRng};
+use oblivion_mesh::{Coord, Mesh, Submesh};
+use rand::RngCore;
 
 /// The `d`-dimensional bridge router (algorithm H).
 ///
@@ -129,37 +128,10 @@ impl ObliviousRouter for BuschD {
     }
 
     fn select_path(&self, s: &Coord, t: &Coord, rng: &mut dyn RngCore) -> RoutedPath {
-        let chain = self.chain(s, t);
-        let mut meter = BitMeter::new(rng);
-        let mut path: Path = path_through_chain(&self.mesh, &chain, self.mode, &mut meter);
-        if self.remove_cycles {
-            path.remove_cycles();
-        }
-        RoutedPath {
-            path,
-            random_bits: meter.bits_used(),
-        }
-    }
-
-    fn route_batch(&self, queries: &[PathQuery], out: &mut Vec<RoutedPath>) {
-        out.clear();
-        out.reserve(queries.len());
-        let mut chain: Vec<Submesh> = Vec::new();
-        for q in queries {
-            // Fresh per-query seeding keeps every answer byte-identical
-            // to a single-shot select_path; only the scratch is shared.
-            let mut rng = rand::rngs::StdRng::seed_from_u64(q.seed);
-            self.chain_into(&q.src, &q.dst, &mut chain);
-            let mut meter = BitMeter::new(&mut rng);
-            let mut path: Path = path_through_chain(&self.mesh, &chain, self.mode, &mut meter);
-            if self.remove_cycles {
-                path.remove_cycles();
-            }
-            out.push(RoutedPath {
-                path,
-                random_bits: meter.bits_used(),
-            });
-        }
+        select(rng, self.remove_cycles, |sc, meter| {
+            self.chain_into(s, t, &mut sc.chain);
+            walk_chain(&self.mesh, &sc.chain, self.mode, meter, None, &mut sc.walk);
+        })
     }
 }
 
@@ -176,6 +148,7 @@ pub fn stretch_bound(d: usize) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::router::PathQuery;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 

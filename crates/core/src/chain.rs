@@ -16,8 +16,12 @@
 //!   produce the intermediate nodes: `O(d log(D'd))` bits, Lemma 5.4.
 
 use crate::randbits::{BitMeter, DonorNode};
+use crate::router::RoutedPath;
 use crate::subpath::extend_dim_by_dim;
-use oblivion_mesh::{Coord, Mesh, Path, Submesh};
+use oblivion_decomp::TorusBlock;
+use oblivion_mesh::{Coord, CycleTable, Mesh, Path, Submesh, MAX_DIM};
+use rand::RngCore;
+use std::cell::Cell;
 
 /// Randomness discipline for the hierarchical routers (Section 5.3).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -29,24 +33,145 @@ pub enum RandomnessMode {
     Recycled,
 }
 
-/// Samples a uniform node of `sub` from a donor, when the block is
-/// power-of-two sized and grid-aligned on every axis; otherwise falls back
-/// to fresh metered bits (this can only happen at a clipped bridge block,
-/// once per path).
-fn donor_or_fresh_node(sub: &Submesh, donor: &DonorNode, meter: &mut BitMeter<'_>) -> Coord {
-    let mut c = *sub.lo();
-    for i in 0..sub.dim() {
-        let side = sub.side(i);
-        if side.is_power_of_two()
-            && sub.lo()[i].is_multiple_of(side)
-            && side.trailing_zeros() <= donor.width()
-        {
-            c[i] = sub.lo()[i] + donor.low_bits(i, side.trailing_zeros());
-        } else {
-            c[i] = meter.range_inclusive(sub.lo()[i], sub.hi()[i]);
-        }
+/// The buffers one path selection reuses: the block chain, the raw walk
+/// and the cycle-removal table.
+#[derive(Debug, Default)]
+pub(crate) struct RouteScratch {
+    pub(crate) chain: Vec<Submesh>,
+    pub(crate) torus_chain: Vec<TorusBlock>,
+    pub(crate) walk: Vec<Coord>,
+    cycles: CycleTable,
+}
+
+thread_local! {
+    static SCRATCH: Cell<RouteScratch> = Cell::default();
+}
+
+/// The path-selection body every router shares. `fill` pushes the raw
+/// walk (source first) into `scratch.walk`, drawing its bits from the
+/// meter; the walk's cycles are cut in place when `remove_cycles`, and
+/// the path is copied out once, at its exact length. The scratch is the
+/// calling thread's, so after warm-up that copy is the only allocation.
+pub(crate) fn select(
+    rng: &mut dyn RngCore,
+    remove_cycles: bool,
+    fill: impl FnOnce(&mut RouteScratch, &mut BitMeter<'_>),
+) -> RoutedPath {
+    // Taken out for the call (a selection nested inside another one
+    // starts from empty buffers) and put back after it.
+    let mut sc = SCRATCH.take();
+    sc.walk.clear();
+    let mut meter = BitMeter::new(rng);
+    fill(&mut sc, &mut meter);
+    if remove_cycles {
+        sc.cycles.remove_cycles(&mut sc.walk);
     }
-    c
+    let path = Path::new_unchecked(sc.walk.to_vec());
+    SCRATCH.set(sc);
+    RoutedPath {
+        path,
+        random_bits: meter.bits_used(),
+    }
+}
+
+/// A block of a submesh chain: an axis-aligned [`Submesh`] on the mesh,
+/// a wrapping [`TorusBlock`] on the torus.
+pub(crate) trait Block: PartialEq {
+    /// The block's low corner: the node itself for a leaf.
+    fn corner(&self) -> Coord;
+
+    /// Per-axis donor bits that sample this block exactly (0 if none).
+    fn donor_width(&self) -> u32;
+
+    /// A uniform node of the block (intersected with `clip`): sliced from
+    /// `donor` where that is exact, else drawn from fresh bits.
+    fn sample(
+        &self,
+        donor: Option<&DonorNode>,
+        meter: &mut BitMeter<'_>,
+        clip: Option<&Submesh>,
+    ) -> Coord;
+}
+
+impl Block for Submesh {
+    fn corner(&self) -> Coord {
+        *self.lo()
+    }
+
+    fn donor_width(&self) -> u32 {
+        (0..self.dim())
+            .map(|i| {
+                let side = self.side(i);
+                if side.is_power_of_two() && self.lo()[i].is_multiple_of(side) {
+                    side.trailing_zeros()
+                } else {
+                    0
+                }
+            })
+            .max()
+            .unwrap_or(0)
+    }
+
+    /// A clipped block may be non-power-aligned; its axes fall back to
+    /// fresh metered bits (once per path, at a bridge).
+    fn sample(
+        &self,
+        donor: Option<&DonorNode>,
+        meter: &mut BitMeter<'_>,
+        clip: Option<&Submesh>,
+    ) -> Coord {
+        let sub = match clip {
+            None => *self,
+            Some(c) => self
+                .intersection(c)
+                .expect("chain block does not intersect the clip region"),
+        };
+        let Some(donor) = donor else {
+            return meter.uniform_node(&sub);
+        };
+        let mut c = *sub.lo();
+        for i in 0..sub.dim() {
+            let side = sub.side(i);
+            if side.is_power_of_two()
+                && sub.lo()[i].is_multiple_of(side)
+                && side.trailing_zeros() <= donor.width()
+            {
+                c[i] = sub.lo()[i] + donor.low_bits(i, side.trailing_zeros());
+            } else {
+                c[i] = meter.range_inclusive(sub.lo()[i], sub.hi()[i]);
+            }
+        }
+        c
+    }
+}
+
+/// Every torus block has a power-of-two side, so donor slices are always
+/// exact; torus chains are never clipped.
+impl Block for TorusBlock {
+    fn corner(&self) -> Coord {
+        *self.anchor()
+    }
+
+    fn donor_width(&self) -> u32 {
+        self.side().trailing_zeros()
+    }
+
+    fn sample(
+        &self,
+        donor: Option<&DonorNode>,
+        meter: &mut BitMeter<'_>,
+        _clip: Option<&Submesh>,
+    ) -> Coord {
+        let d = self.anchor().dim();
+        let mut offsets = [0u32; MAX_DIM];
+        for (i, o) in offsets[..d].iter_mut().enumerate() {
+            *o = match donor {
+                Some(donor) => donor.low_bits(i, self.side().trailing_zeros()),
+                None => meter.below(u64::from(self.side())) as u32,
+            };
+        }
+        self.node_at_offset(&offsets[..d])
+    }
 }
 
 /// Builds the packet path through a bitonic chain of submeshes.
@@ -60,102 +185,62 @@ pub fn path_through_chain(
     mode: RandomnessMode,
     meter: &mut BitMeter<'_>,
 ) -> Path {
-    path_through_chain_clipped(mesh, chain, mode, meter, None)
+    let mut walk = Vec::new();
+    walk_chain(mesh, chain, mode, meter, None, &mut walk);
+    Path::new_unchecked(walk)
 }
 
-/// Like [`path_through_chain`], but every way-point is sampled from the
-/// intersection of the chain block with `clip` (used by the padded router
-/// to keep way-points inside a non-power-of-two mesh embedded in a larger
-/// virtual one).
+/// Pushes the walk through `chain` onto `walk`: the source, then a
+/// dimension-by-dimension subpath to a way-point of each further block
+/// (the destination for the last). With `clip`, way-points are sampled
+/// from each block's intersection with it (the padded router keeps them
+/// inside a real mesh embedded in a larger virtual one).
 ///
 /// # Panics
-/// Panics if some chain block does not intersect `clip` — impossible for
-/// chains produced by the routers, whose blocks all contain `s` or `t`.
-pub fn path_through_chain_clipped(
+/// Panics if the chain is empty, or some block misses `clip` —
+/// impossible for router chains, whose blocks all contain `s` or `t`.
+pub(crate) fn walk_chain<B: Block>(
     mesh: &Mesh,
-    chain: &[Submesh],
+    chain: &[B],
     mode: RandomnessMode,
     meter: &mut BitMeter<'_>,
     clip: Option<&Submesh>,
-) -> Path {
-    assert!(!chain.is_empty());
-    debug_assert_eq!(chain[0].node_count(), 1, "chain must start at a leaf");
-    debug_assert_eq!(
-        chain.last().unwrap().node_count(),
-        1,
-        "chain must end at a leaf"
-    );
-    let d = mesh.dim();
-    let s = *chain[0].lo();
-    let t = *chain.last().unwrap().lo();
+    walk: &mut Vec<Coord>,
+) {
+    let s = chain.first().expect("empty chain").corner();
+    let t = chain[chain.len() - 1].corner();
+    walk.push(s);
     if s == t {
-        return Path::trivial(s);
+        return;
     }
-
-    let clipped = |sub: &Submesh| -> Submesh {
-        match clip {
-            None => *sub,
-            Some(c) => sub
-                .intersection(c)
-                .expect("chain block does not intersect the clip region"),
-        }
-    };
-
-    let mut nodes = vec![s];
+    let d = mesh.dim();
+    // Recycled: one dimension order for the whole path, and two donors
+    // wide enough for the widest power-aligned block.
+    let recycled = (mode == RandomnessMode::Recycled).then(|| {
+        let order = meter.dim_order(d);
+        let width = chain.iter().map(B::donor_width).max().unwrap_or(0);
+        let donors = [
+            DonorNode::draw(meter, d, width),
+            DonorNode::draw(meter, d, width),
+        ];
+        (order, donors)
+    });
     let mut cur = s;
-    match mode {
-        RandomnessMode::Fresh => {
-            for (i, sub) in chain.iter().enumerate().skip(1) {
-                if sub == &chain[i - 1] {
-                    continue;
-                }
-                let v = if i + 1 == chain.len() {
-                    t
-                } else {
-                    meter.uniform_node(&clipped(sub))
-                };
-                let order = meter.dim_order(d);
-                extend_dim_by_dim(mesh, &mut cur, &v, &order, &mut nodes);
-            }
+    for (i, block) in chain.iter().enumerate().skip(1) {
+        if block == &chain[i - 1] {
+            continue;
         }
-        RandomnessMode::Recycled => {
-            let order = meter.dim_order(d);
-            // Donor width: enough bits for the widest power-aligned block.
-            let width = chain
-                .iter()
-                .map(|b| {
-                    (0..d)
-                        .map(|i| {
-                            let side = b.side(i);
-                            if side.is_power_of_two() && b.lo()[i] % side == 0 {
-                                side.trailing_zeros()
-                            } else {
-                                0
-                            }
-                        })
-                        .max()
-                        .unwrap_or(0)
-                })
-                .max()
-                .unwrap_or(0);
-            let donors = [
-                DonorNode::draw(meter, d, width),
-                DonorNode::draw(meter, d, width),
-            ];
-            for (i, sub) in chain.iter().enumerate().skip(1) {
-                if sub == &chain[i - 1] {
-                    continue;
-                }
-                let v = if i + 1 == chain.len() {
-                    t
-                } else {
-                    donor_or_fresh_node(&clipped(sub), &donors[i % 2], meter)
-                };
-                extend_dim_by_dim(mesh, &mut cur, &v, &order, &mut nodes);
-            }
-        }
+        let v = if i + 1 == chain.len() {
+            t
+        } else {
+            block.sample(recycled.as_ref().map(|(_, pair)| &pair[i % 2]), meter, clip)
+        };
+        let order = match &recycled {
+            Some((order, _)) => *order,
+            None => meter.dim_order(d),
+        };
+        extend_dim_by_dim(mesh, &mut cur, &v, &order[..d], walk);
     }
-    Path::new_unchecked(nodes)
 }
 
 #[cfg(test)]

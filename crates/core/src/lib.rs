@@ -56,7 +56,7 @@ pub use baselines::{AccessTree, DimOrder, RandomDimOrder, Valiant};
 pub use busch2d::Busch2D;
 pub use busch_torus::BuschTorus;
 pub use buschd::{stretch_bound, BuschD};
-pub use chain::{path_through_chain, path_through_chain_clipped, RandomnessMode};
+pub use chain::{path_through_chain, RandomnessMode};
 pub use choices::{bits_lower_bound, ChoiceProfile};
 pub use factory::{build_router, implies_torus, parse_mesh_spec, ROUTER_NAMES};
 pub use offline::{route_min_congestion, OfflineConfig};

@@ -20,11 +20,10 @@
 //! Clipped blocks may be non-power-aligned, so the bit-recycled mode falls
 //! back to fresh sampling for those positions; bits stay `O(d log(D'd))`.
 
-use crate::chain::{path_through_chain_clipped, RandomnessMode};
-use crate::randbits::BitMeter;
+use crate::chain::{select, walk_chain, RandomnessMode};
 use crate::router::{ObliviousRouter, RoutedPath};
 use oblivion_decomp::DecompD;
-use oblivion_mesh::{Coord, Mesh, Path, Submesh, Topology};
+use oblivion_mesh::{Coord, Mesh, Submesh, Topology};
 use rand::RngCore;
 
 /// Algorithm H adapted to any rectangular mesh by power-of-two padding.
@@ -76,13 +75,20 @@ impl BuschPadded {
     /// The chain of *virtual* submeshes for `(s, t)` (clipping happens at
     /// sampling time).
     pub fn chain(&self, s: &Coord, t: &Coord) -> Vec<Submesh> {
+        let mut chain = Vec::new();
+        self.chain_into(s, t, &mut chain);
+        chain
+    }
+
+    /// [`Self::chain`] into a caller-owned buffer (cleared first).
+    fn chain_into(&self, s: &Coord, t: &Coord, chain: &mut Vec<Submesh>) {
+        chain.clear();
+        chain.push(Submesh::point(*s));
         if s == t {
-            return vec![Submesh::point(*s)];
+            return;
         }
         let k = self.decomp.k();
         let plan = self.decomp.find_bridge(&self.virtual_mesh, s, t);
-        let mut chain = Vec::with_capacity(2 * plan.h_hat as usize + 3);
-        chain.push(Submesh::point(*s));
         for height in 1..=plan.h_hat {
             chain.push(self.decomp.type1_block(k - height, s));
         }
@@ -92,7 +98,6 @@ impl BuschPadded {
         }
         chain.push(Submesh::point(*t));
         chain.dedup();
-        chain
     }
 }
 
@@ -107,18 +112,18 @@ impl ObliviousRouter for BuschPadded {
 
     fn select_path(&self, s: &Coord, t: &Coord, rng: &mut dyn RngCore) -> RoutedPath {
         debug_assert!(self.mesh.contains(s) && self.mesh.contains(t));
-        let chain = self.chain(s, t);
         let clip = Submesh::whole(&self.mesh);
-        let mut meter = BitMeter::new(rng);
-        let mut path: Path =
-            path_through_chain_clipped(&self.mesh, &chain, self.mode, &mut meter, Some(&clip));
-        if self.remove_cycles {
-            path.remove_cycles();
-        }
-        RoutedPath {
-            path,
-            random_bits: meter.bits_used(),
-        }
+        select(rng, self.remove_cycles, |sc, meter| {
+            self.chain_into(s, t, &mut sc.chain);
+            walk_chain(
+                &self.mesh,
+                &sc.chain,
+                self.mode,
+                meter,
+                Some(&clip),
+                &mut sc.walk,
+            );
+        })
     }
 }
 

@@ -9,7 +9,7 @@
 //! and counts exactly how many were consumed (including rejection-sampling
 //! retries, which the `log κ` accounting must pay for too).
 
-use oblivion_mesh::{Coord, Submesh};
+use oblivion_mesh::{Coord, Submesh, MAX_DIM};
 use rand::RngCore;
 
 /// A bit-granular, bit-counting source of randomness.
@@ -96,9 +96,10 @@ impl<'a> BitMeter<'a> {
     }
 
     /// A uniformly random ordering of `0..d` (Fisher–Yates), costing
-    /// `Θ(log d!)` bits.
-    pub fn dim_order(&mut self, d: usize) -> Vec<usize> {
-        let mut order: Vec<usize> = (0..d).collect();
+    /// `Θ(log d!)` bits. The order is the first `d` entries; the rest
+    /// keep their own index.
+    pub fn dim_order(&mut self, d: usize) -> [usize; MAX_DIM] {
+        let mut order: [usize; MAX_DIM] = std::array::from_fn(|i| i);
         for i in (1..d).rev() {
             let j = self.below(i as u64 + 1) as usize;
             order.swap(i, j);
@@ -120,14 +121,17 @@ impl<'a> BitMeter<'a> {
 #[derive(Debug, Clone)]
 pub struct DonorNode {
     /// Per-axis uniform values of `width` bits each.
-    axis_bits: Vec<u64>,
+    axis_bits: [u64; MAX_DIM],
     width: u32,
 }
 
 impl DonorNode {
     /// Draws a donor with `width` uniform bits per axis (counted on `meter`).
     pub fn draw(meter: &mut BitMeter<'_>, d: usize, width: u32) -> Self {
-        let axis_bits = (0..d).map(|_| meter.bits(width)).collect();
+        let mut axis_bits = [0; MAX_DIM];
+        for bits in &mut axis_bits[..d] {
+            *bits = meter.bits(width);
+        }
         Self { axis_bits, width }
     }
 
@@ -232,8 +236,8 @@ mod tests {
         let mut m = BitMeter::new(&mut rng);
         for d in 1..=6 {
             let mut o = m.dim_order(d);
-            o.sort_unstable();
-            assert_eq!(o, (0..d).collect::<Vec<_>>());
+            o[..d].sort_unstable();
+            assert_eq!(o[..d], (0..d).collect::<Vec<_>>());
         }
     }
 

@@ -10,10 +10,10 @@
 //! worst-case congestion is polynomially worse than algorithm H's
 //! (`Θ(√n)` vs `O(C* log n)` on 2-D transpose).
 
-use crate::randbits::BitMeter;
+use crate::baselines::two_legs;
+use crate::chain::select;
 use crate::router::{ObliviousRouter, RoutedPath};
-use crate::subpath::extend_dim_by_dim;
-use oblivion_mesh::{Coord, Mesh, Path, Submesh};
+use oblivion_mesh::{Coord, Mesh, Submesh};
 use rand::RngCore;
 
 /// Two-phase minimal oblivious routing through a random way-point of the
@@ -54,25 +54,10 @@ impl ObliviousRouter for Romm {
     }
 
     fn select_path(&self, s: &Coord, t: &Coord, rng: &mut dyn RngCore) -> RoutedPath {
-        if s == t {
-            return RoutedPath {
-                path: Path::trivial(*s),
-                random_bits: 0,
-            };
-        }
-        let mut meter = BitMeter::new(rng);
         let bbox = Submesh::bounding_box(s, t);
-        let w = meter.uniform_node(&bbox);
-        let mut nodes = vec![*s];
-        let mut cur = *s;
-        let order1 = meter.dim_order(self.mesh.dim());
-        extend_dim_by_dim(&self.mesh, &mut cur, &w, &order1, &mut nodes);
-        let order2 = meter.dim_order(self.mesh.dim());
-        extend_dim_by_dim(&self.mesh, &mut cur, t, &order2, &mut nodes);
-        RoutedPath {
-            path: Path::new_unchecked(nodes),
-            random_bits: meter.bits_used(),
-        }
+        select(rng, false, |sc, meter| {
+            two_legs(&self.mesh, s, t, &bbox, meter, &mut sc.walk);
+        })
     }
 }
 

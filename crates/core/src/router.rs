@@ -80,8 +80,11 @@ pub trait ObliviousRouter: Send + Sync {
     /// so every answer is byte-identical to a single-shot
     /// [`Self::select_path`] with that seed — batching is purely a
     /// throughput optimization and callers may mix the two freely.
-    /// Implementations override this to reuse scratch buffers across the
-    /// burst (chain storage, RNG state) instead of allocating per query.
+    /// Every router in this crate selects in its thread's route scratch,
+    /// which keeps the block chain, the raw walk and the cycle-removal
+    /// table between calls, so this default reuses all three across the
+    /// burst: after warm-up each answer costs one allocation, its
+    /// exact-size path.
     fn route_batch(&self, queries: &[PathQuery], out: &mut Vec<RoutedPath>) {
         out.clear();
         out.reserve(queries.len());

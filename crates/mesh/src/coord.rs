@@ -2,8 +2,12 @@
 //!
 //! Mesh dimensions in this library are small (the paper's results concern
 //! `d ≤ O(log n)`, and in practice `d ≤ 8`), so coordinates are stored inline
-//! in a fixed array rather than on the heap. This keeps per-packet path
-//! selection allocation-free on its hot path.
+//! in a fixed array rather than on the heap: a hop is never an allocation
+//! of its own. Path selection builds its walk in reused scratch, so after
+//! warm-up a `select_path` call makes one allocation, the exact-size node
+//! vector of the path it returns (measured by the benchmark's
+//! `alloc.select_path.per_call` on a 64×64 mesh: 13.4 before that scratch,
+//! 1 with it).
 
 use std::fmt;
 use std::ops::{Index, IndexMut};

@@ -26,5 +26,5 @@ mod submesh;
 
 pub use coord::{Coord, MAX_DIM};
 pub use mesh::{EdgeId, Mesh, NodeId, Topology};
-pub use path::Path;
+pub use path::{CycleTable, Path};
 pub use submesh::{Submesh, SubmeshNodes};

@@ -2,7 +2,6 @@
 
 use crate::coord::Coord;
 use crate::mesh::{EdgeId, Mesh};
-use std::collections::HashMap;
 
 /// A walk through the mesh: a sequence of pairwise-adjacent coordinates.
 ///
@@ -107,27 +106,20 @@ impl Path {
     /// endpoints that uses a subsequence of the original links.
     ///
     /// The paper observes (after Lemma 3.8) that cycles can always be
-    /// removed without increasing expected congestion. Implementation: scan
-    /// left to right; on revisiting a node, cut the loop back to its first
-    /// occurrence. The result visits each node at most once.
+    /// removed without increasing expected congestion. The walk is scanned
+    /// left to right and compacted in place; on revisiting a node, the
+    /// output is cut back to that node's first occurrence. The result
+    /// visits each node at most once.
+    ///
+    /// Each node's output position is found in a [`CycleTable`]: open
+    /// addressing keyed by a multiplicative hash of the components (no
+    /// SipHash), where an entry counts only while the output still holds
+    /// that node at that position. Cutting a loop therefore deletes
+    /// nothing, and entries stamped per walk make clearing unnecessary:
+    /// expected time is linear in the walk. Use
+    /// [`CycleTable::remove_cycles`] to keep the table across walks.
     pub fn remove_cycles(&mut self) {
-        if self.nodes.len() <= 2 {
-            return;
-        }
-        let mut first_seen: HashMap<Coord, usize> = HashMap::with_capacity(self.nodes.len());
-        let mut out: Vec<Coord> = Vec::with_capacity(self.nodes.len());
-        for &c in &self.nodes {
-            if let Some(&pos) = first_seen.get(&c) {
-                // Unwind the loop: drop everything after the first visit.
-                for dropped in out.drain(pos + 1..) {
-                    first_seen.remove(&dropped);
-                }
-            } else {
-                first_seen.insert(c, out.len());
-                out.push(c);
-            }
-        }
-        self.nodes = out;
+        CycleTable::default().remove_cycles(&mut self.nodes);
     }
 
     /// Returns a cycle-free copy (see [`Self::remove_cycles`]).
@@ -155,6 +147,77 @@ impl Path {
         let mut seen = std::collections::HashSet::with_capacity(self.nodes.len());
         self.nodes.iter().all(|c| seen.insert(*c))
     }
+}
+
+/// The lookup table of cycle removal, reusable across walks.
+///
+/// An open-addressing table keyed by a multiplicative hash of the
+/// coordinate's components. A slot holds an output position, tagged with
+/// the stamp of the walk that wrote it; a slot with another stamp is
+/// empty, so starting a new walk costs one increment instead of a clear.
+/// A slot counts as a hit for `c` only while the output still holds `c`
+/// at its position, so cutting a loop deletes nothing: the slots of the
+/// cut nodes simply stop matching. Each walk node writes at most one
+/// slot and the table keeps at least twice as many slots as the walk has
+/// nodes, so probe chains stay short and always end at an empty slot.
+#[derive(Debug, Clone, Default)]
+pub struct CycleTable {
+    /// `stamp << 32 | position`.
+    slots: Vec<u64>,
+    stamp: u32,
+}
+
+impl CycleTable {
+    /// Removes every cycle of the walk `nodes` in place; see
+    /// [`Path::remove_cycles`].
+    pub fn remove_cycles(&mut self, nodes: &mut Vec<Coord>) {
+        let n = nodes.len();
+        if n <= 2 {
+            return;
+        }
+        let want = (2 * n).next_power_of_two();
+        if self.slots.len() < want {
+            self.slots.clear();
+            self.slots.resize(want, 0);
+        }
+        self.stamp = self.stamp.wrapping_add(1);
+        if self.stamp == 0 {
+            self.slots.fill(0);
+            self.stamp = 1;
+        }
+        let tag = u64::from(self.stamp) << 32;
+        let shift = 64 - self.slots.len().trailing_zeros();
+        let mask = self.slots.len() - 1;
+        let mut len = 0;
+        for i in 0..n {
+            let c = nodes[i];
+            let mut slot = (hash(&c) >> shift) as usize;
+            loop {
+                let entry = self.slots[slot];
+                if entry & !0xFFFF_FFFF != tag {
+                    self.slots[slot] = tag | len as u64;
+                    nodes[len] = c;
+                    len += 1;
+                    break;
+                }
+                let pos = entry as u32 as usize;
+                if pos < len && nodes[pos] == c {
+                    len = pos + 1;
+                    break;
+                }
+                slot = (slot + 1) & mask;
+            }
+        }
+        nodes.truncate(len);
+    }
+}
+
+/// A multiplicative (Fx-style) hash of the active components.
+#[inline]
+fn hash(c: &Coord) -> u64 {
+    c.as_slice().iter().fold(0u64, |h, &x| {
+        (h.rotate_left(5) ^ u64::from(x)).wrapping_mul(0x517C_C1B7_2722_0A95)
+    })
 }
 
 #[cfg(test)]

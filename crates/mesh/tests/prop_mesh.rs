@@ -1,7 +1,8 @@
 //! Property tests for the mesh substrate.
 
-use oblivion_mesh::{Coord, Mesh, Path, Submesh, Topology};
+use oblivion_mesh::{Coord, CycleTable, Mesh, Path, Submesh, Topology};
 use proptest::prelude::*;
+use std::collections::HashMap;
 
 /// Strategy: a mesh with 1–4 dimensions, sides 1–12, ≤ 4096 nodes.
 fn arb_mesh() -> impl Strategy<Value = Mesh> {
@@ -161,4 +162,69 @@ proptest! {
         // A simple walk is at least as long as the distance.
         prop_assert!(q.len() as u64 >= mesh.dist(p.source(), p.target()));
     }
+
+    /// The stamped open-addressing cycle removal gives exactly the node
+    /// sequence of the `HashMap` algorithm it replaced, on random walks
+    /// over tiny sides (so nodes repeat constantly) in 1–8 dimensions,
+    /// mesh and torus, up to ~800 nodes long. With `home` the walk retraces
+    /// itself back to its source. One table serves the forward walk and
+    /// its reversal, so a stale slot of the first walk must never match
+    /// in the second.
+    #[test]
+    fn cycle_removal_matches_hashmap_reference(
+        d in 1usize..=8,
+        side in 2u32..=3,
+        torus in prop::bool::ANY,
+        start in 0usize..6561,
+        steps in prop::collection::vec(0usize..16, 0..400),
+        home in prop::bool::ANY,
+    ) {
+        let mesh = Mesh::new(&vec![side; d], if torus { Topology::Torus } else { Topology::Mesh });
+        let mut cur = mesh.coord(oblivion_mesh::NodeId(start % mesh.node_count()));
+        let mut walk = vec![cur];
+        for s in steps {
+            let nbs = mesh.neighbors(&cur);
+            cur = nbs[s % nbs.len()];
+            walk.push(cur);
+        }
+        if home {
+            let back: Vec<Coord> = walk.iter().rev().skip(1).copied().collect();
+            walk.extend(back);
+        }
+        let mut table = CycleTable::default();
+        for raw in [walk.clone(), walk.iter().rev().copied().collect()] {
+            let want = reference_remove_cycles(&raw);
+            let mut got = raw.clone();
+            table.remove_cycles(&mut got);
+            prop_assert_eq!(&got, &want);
+            let mut p = Path::new(&mesh, raw);
+            p.remove_cycles();
+            prop_assert_eq!(p.nodes(), &want[..]);
+            if home {
+                prop_assert_eq!(want.len(), 1);
+            }
+        }
+    }
+}
+
+/// The `HashMap` cycle removal `Path::remove_cycles` used before the
+/// stamped table, kept as the reference: scan left to right and, on
+/// revisiting a node, drop everything after its first occurrence.
+fn reference_remove_cycles(nodes: &[Coord]) -> Vec<Coord> {
+    if nodes.len() <= 2 {
+        return nodes.to_vec();
+    }
+    let mut first_seen: HashMap<Coord, usize> = HashMap::with_capacity(nodes.len());
+    let mut out: Vec<Coord> = Vec::with_capacity(nodes.len());
+    for &c in nodes {
+        if let Some(&pos) = first_seen.get(&c) {
+            for dropped in out.drain(pos + 1..) {
+                first_seen.remove(&dropped);
+            }
+        } else {
+            first_seen.insert(c, out.len());
+            out.push(c);
+        }
+    }
+    out
 }

@@ -99,15 +99,8 @@ impl Client {
         dst: &Coord,
         id: Option<&str>,
     ) -> Result<Vec<Coord>, ClientError> {
-        let id_field = match id {
-            Some(id) => format!(" id={id}"),
-            None => String::new(),
-        };
-        let line = format!(
-            "PATH {seed} {} {}{id_field}\n",
-            wire::format_coord(src, mesh.dim()),
-            wire::format_coord(dst, mesh.dim())
-        );
+        let mut line = String::new();
+        wire::push_path_request(&mut line, seed, src, dst, mesh.dim(), id);
         let (response, echoed) = self.exchange(&line)?;
         if let Some(want) = id {
             // Byte-for-byte echo check. Pre-read rejections (admission

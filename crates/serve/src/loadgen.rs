@@ -571,17 +571,12 @@ fn requeue_or_fail(
 }
 
 fn request_line(cfg: &LoadgenConfig, p: &Pending, id: &str) -> String {
-    let prefix = match tenant_of(cfg, p.id as u64) {
+    let mut line = match tenant_of(cfg, p.id as u64) {
         Some(t) => format!("MESH {t} "),
         None => String::new(),
     };
-    format!(
-        "{prefix}PATH {} {} {} id={}\n",
-        p.seed,
-        wire::format_coord(&p.src, cfg.mesh.dim()),
-        wire::format_coord(&p.dst, cfg.mesh.dim()),
-        id
-    )
+    wire::push_path_request(&mut line, p.seed, &p.src, &p.dst, cfg.mesh.dim(), Some(id));
+    line
 }
 
 fn transport_error(kind: IoKind, why: &'static str) -> ClientError {

@@ -64,7 +64,7 @@
 //!
 //! [`select_path`]: oblivion_core::ObliviousRouter::select_path
 
-use oblivion_mesh::{Coord, Mesh, Path};
+use oblivion_mesh::{Coord, Mesh, Path, MAX_DIM};
 use std::fmt;
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -171,30 +171,101 @@ pub enum Response {
     Err(ErrorKind, String),
 }
 
+/// Bytes of the widest coordinate in wire form, plus one separator.
+const COORD_BYTES: usize = 1 + MAX_DIM * 11;
+
+/// Writes the decimal digits of `x` by hand into `buf` at `at` and
+/// returns the end: no `fmt` machinery, no allocation.
+#[inline]
+fn put_digits(buf: &mut [u8], at: usize, x: u64) -> usize {
+    let end = at + x.checked_ilog10().unwrap_or(0) as usize + 1;
+    let mut rest = x;
+    for digit in buf[at..end].iter_mut().rev() {
+        *digit = b'0' + (rest % 10) as u8;
+        rest /= 10;
+    }
+    end
+}
+
+/// Writes the first `dim` components of `c`, comma-separated, into `buf`
+/// at `at` and returns the end.
+#[inline]
+fn put_coord(buf: &mut [u8; COORD_BYTES], at: usize, c: &Coord, dim: usize) -> usize {
+    let mut end = at;
+    for (i, &x) in c.as_slice()[..dim].iter().enumerate() {
+        if i > 0 {
+            buf[end] = b',';
+            end += 1;
+        }
+        end = put_digits(buf, end, u64::from(x));
+    }
+    end
+}
+
+fn push_ascii(out: &mut String, bytes: &[u8]) {
+    let ascii = std::str::from_utf8(bytes);
+    out.push_str(ascii.expect("digits and commas")); // ci-allow-unwrap: only ASCII is written
+}
+
+/// Appends a coordinate in wire form: `3,4` (no parentheses).
+fn push_coord(out: &mut String, c: &Coord, dim: usize) {
+    let mut buf = [0u8; COORD_BYTES];
+    let end = put_coord(&mut buf, 0, c, dim);
+    push_ascii(out, &buf[..end]);
+}
+
+/// Appends a `PATH <seed> <src> <dst> [id=<id>]` request line, LF
+/// included.
+pub fn push_path_request(
+    out: &mut String,
+    seed: u64,
+    src: &Coord,
+    dst: &Coord,
+    dim: usize,
+    id: Option<&str>,
+) {
+    out.push_str("PATH ");
+    let mut buf = [0u8; 20];
+    let end = put_digits(&mut buf, 0, seed);
+    push_ascii(out, &buf[..end]);
+    out.push(' ');
+    push_coord(out, src, dim);
+    out.push(' ');
+    push_coord(out, dst, dim);
+    if let Some(id) = id {
+        out.push_str(" id=");
+        out.push_str(id);
+    }
+    out.push('\n');
+}
+
 /// Formats a coordinate for the wire: `3,4` (no parentheses).
 pub fn format_coord(c: &Coord, dim: usize) -> String {
     let mut s = String::new();
-    for i in 0..dim {
-        if i > 0 {
-            s.push(',');
-        }
-        s.push_str(&c[i].to_string());
-    }
+    push_coord(&mut s, c, dim);
     s
 }
 
 /// Parses a wire coordinate against a mesh (dimension and bounds check).
 pub fn parse_coord(token: &str, mesh: &Mesh) -> Result<Coord, String> {
-    let xs: Result<Vec<u32>, _> = token.split(',').map(str::parse::<u32>).collect();
-    let xs = xs.map_err(|e| format!("bad coordinate `{token}`: {e}"))?;
-    if xs.len() != mesh.dim() {
+    let mut xs = [0u32; MAX_DIM];
+    let mut n = 0;
+    for part in token.split(',') {
+        let x = part
+            .parse::<u32>()
+            .map_err(|e| format!("bad coordinate `{token}`: {e}"))?;
+        if let Some(slot) = xs.get_mut(n) {
+            *slot = x;
+        }
+        n += 1;
+    }
+    if n != mesh.dim() {
         return Err(format!(
-            "coordinate `{token}` has {} components, mesh has {} dimensions",
-            xs.len(),
+            "coordinate `{token}` has {n} components, mesh has {} dimensions",
             mesh.dim()
         ));
     }
-    let c = Coord::new(&xs);
+    let c = Coord::new(&xs[..n]);
     if !mesh.contains(&c) {
         return Err(format!("coordinate `{token}` outside the mesh"));
     }
@@ -296,19 +367,35 @@ pub fn format_path_line(path: &Path, dim: usize) -> String {
 
 /// [`format_path_line`] with an optional echoed trace ID (`OK id=<id>
 /// <hops...>`). With `None` the bytes are identical to the pre-ID wire
-/// format.
+/// format. One allocation: the line is measured before it is written.
 pub fn format_path_line_with_id(path: &Path, dim: usize, id: Option<&str>) -> String {
-    let mut s = String::from("OK");
-    if let Some(id) = id {
-        s.push_str(" id=");
-        s.push_str(id);
-    }
-    for hop in path.nodes() {
-        s.push(' ');
-        s.push_str(&format_coord(hop, dim));
-    }
-    s.push('\n');
+    let digits = |x: u32| x.checked_ilog10().unwrap_or(0) as usize + 1;
+    let hops: usize = path
+        .nodes()
+        .iter()
+        .flat_map(|hop| &hop.as_slice()[..dim])
+        .map(|&x| digits(x) + 1)
+        .sum();
+    let mut s = String::with_capacity(3 + id.map_or(0, |id| 4 + id.len()) + hops);
+    push_path_line(&mut s, path, dim, id);
     s
+}
+
+/// Appends the `OK` line of [`format_path_line_with_id`] to `out`, digits
+/// written by hand: into a warmed buffer (a worker's burst reply) this
+/// allocates nothing.
+pub fn push_path_line(out: &mut String, path: &Path, dim: usize, id: Option<&str>) {
+    out.push_str("OK");
+    if let Some(id) = id {
+        out.push_str(" id=");
+        out.push_str(id);
+    }
+    let mut buf = [b' '; COORD_BYTES];
+    for hop in path.nodes() {
+        let end = put_coord(&mut buf, 1, hop, dim);
+        push_ascii(out, &buf[..end]);
+    }
+    out.push('\n');
 }
 
 /// Formats an `ERR` line; `detail` is appended for `BAD_REQUEST`.
@@ -728,5 +815,67 @@ mod tests {
         assert!(parse_coord("3", &m).is_err());
         assert!(parse_coord("8,0", &m).is_err());
         assert!(parse_coord("a,b", &m).is_err());
+    }
+
+    /// The `BAD_REQUEST` details of coordinate parsing, byte for byte,
+    /// including the component count past `MAX_DIM` components.
+    #[test]
+    fn coord_parse_details_are_pinned() {
+        let m = Mesh::new_mesh(&[8, 8]);
+        let err = |tok: &str| parse_coord(tok, &m).unwrap_err();
+        assert_eq!(
+            err("a,b"),
+            "bad coordinate `a,b`: invalid digit found in string"
+        );
+        assert_eq!(
+            err(""),
+            "bad coordinate ``: cannot parse integer from empty string"
+        );
+        assert_eq!(
+            err("1,99999999999"),
+            "bad coordinate `1,99999999999`: number too large to fit in target type"
+        );
+        assert_eq!(
+            err("3"),
+            "coordinate `3` has 1 components, mesh has 2 dimensions"
+        );
+        assert_eq!(
+            err("1,2,3,4,5,6,7,8,9,10"),
+            "coordinate `1,2,3,4,5,6,7,8,9,10` has 10 components, mesh has 2 dimensions"
+        );
+        assert_eq!(
+            err("1,2,3,4,5,6,7,8,9,x"),
+            "bad coordinate `1,2,3,4,5,6,7,8,9,x`: invalid digit found in string"
+        );
+        assert_eq!(err("8,0"), "coordinate `8,0` outside the mesh");
+    }
+
+    /// The hand-written digits match `Display`, and the one-allocation
+    /// wrapper matches appending into a buffer.
+    #[test]
+    fn hand_written_digits_match_display() {
+        for x in [0u64, 7, 10, 99, 100, 4_294_967_295, u64::MAX] {
+            let mut buf = [0u8; 20];
+            let end = put_digits(&mut buf, 0, x);
+            assert_eq!(std::str::from_utf8(&buf[..end]), Ok(&*x.to_string()));
+        }
+        let m = Mesh::new_mesh(&[1 << 20, 1 << 20, 2]);
+        let hops = [[1_048_575, 0, 1], [1_048_575, 1, 1], [1_048_575, 1, 0]];
+        let coords: Vec<Coord> = hops.iter().map(|h| Coord::new(h)).collect();
+        let path = Path::new(&m, coords.clone());
+        for id in [None, Some("a.b:7")] {
+            let line = format_path_line_with_id(&path, 3, id);
+            let id_field = id.map_or(String::new(), |id| format!(" id={id}"));
+            let want = format!("OK{id_field} 1048575,0,1 1048575,1,1 1048575,1,0\n");
+            assert_eq!(line, want);
+            assert_eq!(line.capacity(), line.len(), "measured exactly");
+            let mut out = String::from("prior\n");
+            push_path_line(&mut out, &path, 3, id);
+            assert_eq!(out, format!("prior\n{want}"));
+        }
+        let mut req = String::new();
+        push_path_request(&mut req, u64::MAX, &coords[0], &coords[2], 3, Some("x"));
+        let want = format!("PATH {} 1048575,0,1 1048575,1,0 id=x\n", u64::MAX);
+        assert_eq!(req, want);
     }
 }
