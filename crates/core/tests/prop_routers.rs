@@ -5,14 +5,15 @@ use oblivion_core::{
     stretch_bound, AccessTree, Busch2D, BuschD, BuschPadded, BuschTorus, DimOrder, ObliviousRouter,
     RandomDimOrder, RandomnessMode, Romm, Valiant,
 };
-use oblivion_mesh::{Coord, Mesh};
+use oblivion_mesh::{Coord, Mesh, MAX_DIM};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-/// Strategy: (d, k, s, t, seed) with n <= 4096.
+/// Strategy: (d, k, s, t, seed) at every dimension the mesh accepts,
+/// with n <= 4096.
 fn scenario() -> impl Strategy<Value = (usize, u32, Coord, Coord, u64)> {
-    (1usize..=4, 1u32..=6)
+    (1usize..=MAX_DIM, 1u32..=6)
         .prop_filter("size cap", |(d, k)| d * (*k as usize) <= 12)
         .prop_flat_map(|(d, k)| {
             let side = 1u32 << k;

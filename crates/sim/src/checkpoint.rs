@@ -12,12 +12,12 @@
 //! byte-identical no matter how many threads produced it —
 //! the snapshot CRC doubles as an engine-invariant fingerprint.
 //!
-//! **Identity preservation.** Packet ids are arena indices, and
-//! the contention tie-break key ends in the id — so restore rebuilds the
-//! arena at its full pre-crash length ([`EngineState::arena_len`]),
-//! placing inert dummies where delivered or dead-lettered packets sat.
-//! Packets injected after resume then receive exactly the ids they would
-//! have had in an uninterrupted run.
+//! **Identity preservation.** The engine numbers packets in injection
+//! order from a counter, and the contention tie-break key ends in the id
+//! — so a snapshot records the counter ([`EngineState::arena_len`]) beside
+//! the live packets' ids, and restore sets the counter back. Packets
+//! injected after resume then receive exactly the ids they would have had
+//! in an uninterrupted run, even when no packet was in flight.
 
 use crate::online::FaultStats;
 use oblivion_ckpt::{ByteReader, ByteWriter, CkptError, Store};
@@ -85,7 +85,8 @@ impl std::fmt::Display for StopReason {
 /// One in-flight packet, engine-neutral.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PacketState {
-    /// Arena index — the packet's contention-tie-break identity.
+    /// The packet's contention-tie-break identity: packets with a
+    /// non-empty path are numbered from 0 in injection order.
     pub id: u64,
     /// Global injection index (identity for fault decisions).
     pub inj: u64,
@@ -166,9 +167,9 @@ pub struct EngineState {
     pub injected: u64,
     /// Next global injection index.
     pub inj_idx: u64,
-    /// Total packets ever given an arena slot (live + delivered + dead):
-    /// restore rebuilds the arena to this length so later packets get
-    /// identical ids.
+    /// Packet ids issued so far (live + delivered + dead), so the id of
+    /// the next packet injected: restore continues numbering from here,
+    /// so later packets get identical ids.
     pub arena_len: u64,
     /// Cross-shard handoffs so far.
     pub handoffs_total: u64,
@@ -287,7 +288,7 @@ impl EngineState {
             if prev_id.is_some_and(|prev| p.id <= prev) || p.id >= arena_len {
                 return Err(CkptError::Malformed {
                     field: "packet.id",
-                    detail: format!("id {} out of order or beyond arena length", p.id),
+                    detail: format!("id {} out of order or beyond the ids issued", p.id),
                 });
             }
             prev_id = Some(p.id);

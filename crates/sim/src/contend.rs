@@ -24,8 +24,6 @@ pub(crate) struct Contention {
 pub(crate) struct Winner {
     /// The contended slot.
     pub(crate) slot: usize,
-    /// The winning key; `key.1` is the winner's packet id.
-    pub(crate) key: (u64, u64),
     /// The tag the winner was offered with.
     pub(crate) at: usize,
     /// How many packets contended for the slot.
@@ -67,16 +65,12 @@ impl Contention {
     /// next step. Must be consumed to the end.
     pub(crate) fn drain(&mut self) -> impl Iterator<Item = Winner> + '_ {
         let Self {
-            best,
-            at,
-            count,
-            touched,
+            at, count, touched, ..
         } = self;
         touched.drain(..).map(move |slot| {
             let slot = slot as usize;
             Winner {
                 slot,
-                key: best[slot],
                 at: at[slot] as usize,
                 group: std::mem::take(&mut count[slot]),
             }
@@ -96,11 +90,11 @@ mod tests {
         c.offer(2, (3, 3), 12);
         c.offer(2, (4, 4), 13);
         assert_eq!(c.busy(), 2);
-        let won: Vec<_> = c.drain().map(|w| (w.slot, w.key, w.at, w.group)).collect();
-        assert_eq!(won, vec![(2, (3, 3), 12, 3), (0, (9, 2), 11, 1)]);
+        let won: Vec<_> = c.drain().map(|w| (w.slot, w.at, w.group)).collect();
+        assert_eq!(won, vec![(2, 12, 3), (0, 11, 1)]);
         assert_eq!(c.busy(), 0);
         c.offer(2, (7, 5), 14);
-        let won: Vec<_> = c.drain().map(|w| (w.key, w.group)).collect();
-        assert_eq!(won, vec![((7, 5), 1)]);
+        let won: Vec<_> = c.drain().map(|w| (w.at, w.group)).collect();
+        assert_eq!(won, vec![(14, 1)]);
     }
 }

@@ -9,18 +9,19 @@
 //!    oblivious paths, each from a private RNG derived from
 //!    `(seed, injection index)` — the same SplitMix64 derivation as
 //!    `oblivion_core::route_all_parallel`, so the paths are a pure
-//!    function of the inputs.
-//! 2. **Contend + commit** (parallel, per shard): every shard resolves
-//!    link contention for the packets it owns against an immutable
-//!    snapshot of the fleet, then commits its winners. A packet is owned
-//!    by exactly one shard (the shard of the link it waits on), and a
-//!    shard's winners are packets it owns, so commits are disjoint by
-//!    construction. Cross-shard handoffs land in the destination shard's
-//!    parity-buffered inbox and are drained at the start of the *next*
-//!    step, in whatever order shards happened to finish — harmless,
-//!    because winner selection per link uses a totally ordered key
-//!    (policy priority, then packet id) and every reported metric is an
-//!    order-free aggregate.
+//!    function of the inputs. Each worker stages its packets in its own
+//!    list; the coordinator merges them in draw order and numbers them.
+//! 2. **Contend + commit** (parallel, per shard): every packet is a plain
+//!    record owned by exactly one shard — the shard of the link it waits
+//!    on — so each shard resolves link contention among its own records
+//!    and commits its winners with no shared packet state. A record whose
+//!    next link lies in another shard moves there by value, through that
+//!    shard's parity-buffered inbox, and is drained at the start of the
+//!    *next* step, in whatever order shards happened to finish —
+//!    harmless, because winner selection per link uses a totally ordered
+//!    key (policy priority, then packet id) and every reported metric is
+//!    an order-free aggregate. A delivered or dead-lettered record is
+//!    dropped, freeing its path.
 //!
 //! The result is byte-for-byte identical for any thread count — and
 //! [`OnlineSim::run`] is this engine at one thread, run inline: the pool
@@ -36,8 +37,8 @@ use crate::pool;
 use crate::stepper::{
     Adverse, BoundaryScalars, FaultClock, Pending, PhaseTimer, ShardFinale, StepObs, Stepper,
 };
-use oblivion_mesh::{Coord, EdgeId, Mesh, Path};
-use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use oblivion_mesh::{Coord, EdgeId, Mesh, NodeId, Path};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, RwLock};
 
 /// Maximum number of spatial shards (bands along axis 0).
@@ -109,115 +110,135 @@ impl ShardMap {
     }
 }
 
-/// Immutable-per-step packet state, structure-of-arrays. `pos`,
-/// `arrived`, and `cur_edge` are atomics so disjoint per-shard commits
-/// can write them under a shared read lock; the `RwLock` around the
-/// arena is taken for write only when the coordinator appends newly
-/// injected packets between parallel rounds.
+/// One in-flight packet: owned by the shard of the link it waits on and
+/// moved between shards by value. Dropping it frees its path.
 #[derive(Default)]
-struct Arena {
-    /// Each path sits behind its own (uncontended) mutex: a packet is
-    /// owned by exactly one shard per step, and only that shard ever
-    /// locks it — needed so `resample` recovery can swap the path in
-    /// place without `unsafe`.
-    path: Vec<Mutex<Path>>,
-    injected_at: Vec<u64>,
-    rank: Vec<u64>,
+struct Packet {
+    /// Contention tie-break identity: packets with a non-empty path are
+    /// numbered in injection order.
+    id: u64,
     /// Global injection index — identity for fault decisions.
-    inj: Vec<u64>,
-    pos: Vec<AtomicUsize>,
-    arrived: Vec<AtomicU64>,
-    cur_edge: Vec<AtomicUsize>,
-    /// Fault-recovery budget units consumed so far.
-    attempts: Vec<AtomicU32>,
-    /// Step before which fault recovery makes no further decision.
-    backoff: Vec<AtomicU64>,
+    inj: u64,
+    /// Step the packet was injected at.
+    injected_at: u64,
+    /// Step the packet reached its current node.
+    arrived: u64,
+    /// Random scheduling rank drawn at injection.
+    rank: u64,
+    clock: FaultClock,
+    /// Edges crossed so far: the packet waits on `edges[pos]`, and is
+    /// finished (delivered, or dead-lettered) at `pos == edges.len()`.
+    pos: u32,
+    /// Node id the path starts at.
+    src: u32,
+    /// The path as its run of `EdgeId`s.
+    edges: Vec<u32>,
 }
 
-impl Arena {
-    /// Appends a packet injected at step `t` at the start of `path`,
-    /// waiting on edge `edge0`; its id is the slot index.
-    fn push_fresh(&mut self, path: Path, t: u64, rank: u64, inj: u64, edge0: usize) {
-        self.path.push(Mutex::new(path));
-        self.injected_at.push(t);
-        self.rank.push(rank);
-        self.inj.push(inj);
-        self.pos.push(AtomicUsize::new(0));
-        self.arrived.push(AtomicU64::new(t));
-        self.cur_edge.push(AtomicUsize::new(edge0));
-        self.attempts.push(AtomicU32::new(0));
-        self.backoff.push(AtomicU64::new(0));
+impl Packet {
+    /// The edge the packet waits on.
+    fn edge(&self) -> EdgeId {
+        EdgeId(self.edges[self.pos as usize] as usize)
     }
 
-    /// Appends an inert placeholder where a delivered or dead packet sat.
-    fn push_dummy(&mut self, mesh: &Mesh) {
-        self.push_fresh(
-            Path::trivial(mesh.coord(oblivion_mesh::NodeId(0))),
-            0,
-            0,
-            0,
-            0,
-        );
+    /// Delivered, or dead-lettered: the step's compaction drops it.
+    fn finished(&self) -> bool {
+        self.pos as usize == self.edges.len()
     }
 
-    /// Writes snapshot packet `p` into slot `p.id`, padding the arena
-    /// with inert dummies so ids line up with an uninterrupted run.
-    /// Returns its current edge.
-    fn install(&mut self, mesh: &Mesh, p: &PacketState) -> usize {
-        let path = p.to_path(mesh);
-        debug_assert!(path.is_valid(mesh), "invalid packet path");
-        let pos = p.pos as usize;
-        let e = mesh.edge_id(&path.nodes()[pos], &path.nodes()[pos + 1]).0;
-        let id = p.id as usize;
-        while self.path.len() <= id {
-            self.push_dummy(mesh);
+    /// Replaces the path with `path`, from its first node.
+    fn set_path(&mut self, mesh: &Mesh, path: &Path) {
+        self.src = mesh.node_id(&path.nodes()[0]).0 as u32;
+        self.edges = path.edge_ids(mesh).map(|e| e.0 as u32).collect();
+        self.pos = 0;
+    }
+
+    /// The path's nodes, walked from `src` across `edges`. Only resample
+    /// and checkpoint capture need them.
+    fn nodes(&self, mesh: &Mesh) -> Vec<Coord> {
+        let mut cur = mesh.coord(NodeId(self.src as usize));
+        let mut nodes = Vec::with_capacity(self.edges.len() + 1);
+        nodes.push(cur);
+        for &e in &self.edges {
+            let (a, b) = mesh.edge_endpoints(EdgeId(e as usize));
+            cur = if a == cur { b } else { a };
+            nodes.push(cur);
         }
-        self.path[id] = Mutex::new(path);
-        self.injected_at[id] = p.injected_at;
-        self.rank[id] = p.rank;
-        self.inj[id] = p.inj;
-        self.pos[id].store(pos, Ordering::Relaxed);
-        self.arrived[id].store(p.arrived, Ordering::Relaxed);
-        self.cur_edge[id].store(e, Ordering::Relaxed);
-        self.attempts[id].store(p.attempts, Ordering::Relaxed);
-        self.backoff[id].store(p.backoff_until, Ordering::Relaxed);
-        e
+        nodes
     }
 
-    /// Reads packet `id` back out, for snapshots.
-    fn extract(&self, mesh: &Mesh, id: usize) -> PacketState {
-        let path = self.path[id].lock().unwrap();
+    /// The snapshot record of this packet.
+    fn capture(&self, mesh: &Mesh) -> PacketState {
         PacketState {
-            id: id as u64,
-            inj: self.inj[id],
-            injected_at: self.injected_at[id],
-            arrived: self.arrived[id].load(Ordering::Relaxed),
-            rank: self.rank[id],
-            pos: self.pos[id].load(Ordering::Relaxed) as u64,
-            attempts: self.attempts[id].load(Ordering::Relaxed),
-            backoff_until: self.backoff[id].load(Ordering::Relaxed),
-            path: path
-                .nodes()
+            id: self.id,
+            inj: self.inj,
+            injected_at: self.injected_at,
+            arrived: self.arrived,
+            rank: self.rank,
+            pos: u64::from(self.pos),
+            attempts: self.clock.attempts,
+            backoff_until: self.clock.backoff_until,
+            path: self
+                .nodes(mesh)
                 .iter()
                 .map(|c| mesh.node_id(c).0 as u64)
                 .collect(),
         }
     }
-}
 
-/// Tombstone marker in a shard's active list: the packet left the shard
-/// (delivered or handed off) and is skipped at the next scan.
-const GONE: usize = usize::MAX;
+    /// Rebuilds a packet from its (validated) snapshot record.
+    fn restore(mesh: &Mesh, p: &PacketState) -> Self {
+        let mut packet = Self {
+            id: p.id,
+            inj: p.inj,
+            injected_at: p.injected_at,
+            arrived: p.arrived,
+            rank: p.rank,
+            clock: FaultClock::restore(p.attempts, p.backoff_until),
+            ..Self::default()
+        };
+        packet.set_path(mesh, &p.to_path(mesh));
+        packet.pos = p.pos as u32;
+        packet
+    }
+
+    /// Advances the fault clock for an adverse event at step `t` and
+    /// carries out its outcome: a dead letter finishes the packet, and a
+    /// resample restarts it on a path redrawn from its current node with
+    /// the plan's derived RNG for `(inj, attempts)`.
+    fn adverse(
+        &mut self,
+        paths: &(dyn PathSource + Sync),
+        mesh: &Mesh,
+        fx: &Faults<'_>,
+        t: u64,
+    ) -> Adverse {
+        let outcome = self.clock.adverse(fx, t);
+        match outcome {
+            Adverse::Hold => {}
+            Adverse::DeadLetter => self.pos = self.edges.len() as u32,
+            Adverse::Resample { attempts } => {
+                let nodes = self.nodes(mesh);
+                let dst = nodes.last().expect("a path has a node");
+                let mut rng = fx.plan.resample_rng(self.inj, attempts);
+                let path = paths.resample(&nodes[self.pos as usize], dst, &mut rng);
+                debug_assert!(path.is_valid(mesh), "resampled path invalid");
+                assert!(!path.is_empty(), "resampled a packet at its destination");
+                self.set_path(mesh, &path);
+                self.clock.resampled(attempts, t);
+            }
+        }
+        outcome
+    }
+}
 
 /// Per-shard mutable state. Locked by whichever worker claims the shard
 /// this step (uncontended: each shard is claimed exactly once per step).
 struct ShardState {
-    /// Packets owned by this shard (`GONE` entries are compacted lazily).
-    active: Vec<usize>,
-    /// Live packet count after the last step (excludes tombstones).
-    live: usize,
-    /// Per-slot link contention; winners are tagged with their position
-    /// in `active` (for tombstoning).
+    /// The packets waiting on this shard's links, in no meaningful order.
+    active: Vec<Packet>,
+    /// Per-slot link contention; winners are tagged with their index in
+    /// `active`.
     contention: Contention,
     /// Per-slot traversal totals (the shard's slice of the link loads).
     loads: Vec<u64>,
@@ -237,7 +258,6 @@ impl ShardState {
     fn new(slots: usize) -> Self {
         Self {
             active: Vec::new(),
-            live: 0,
             contention: Contention::new(slots),
             loads: vec![0; slots],
             latencies: Vec::new(),
@@ -253,9 +273,9 @@ impl ShardState {
     }
 }
 
-/// A routed pending packet: its path and first edge (`GONE` if the path
-/// is empty, i.e. delivered instantly).
-type Staged = (Path, usize);
+/// Parity-buffered handoff inboxes, one pair per shard: step `t` drains
+/// `[s][t % 2]` while commits push into `[s][(t + 1) % 2]`.
+type Inboxes = [[Mutex<Vec<Packet>>; 2]];
 
 const ROUTE_PHASE: usize = 0;
 const STEP_PHASE: usize = 1;
@@ -286,19 +306,19 @@ pub(crate) fn run_sharded_ckpt(
     let map = ShardMap::new(mesh);
     let shards_n = map.shards();
 
-    let arena: RwLock<Arena> = RwLock::new(Arena::default());
     let shards: Vec<Mutex<ShardState>> = map
         .slots
         .iter()
         .map(|&slots| Mutex::new(ShardState::new(slots)))
         .collect();
-    // Parity-buffered handoff inboxes: step `t` drains `[s][t % 2]` while
-    // commits push into `[s][(t + 1) % 2]`.
-    let inboxes: Vec<[Mutex<Vec<usize>>; 2]> = (0..shards_n)
+    let inboxes: Vec<[Mutex<Vec<Packet>>; 2]> = (0..shards_n)
         .map(|_| [Mutex::new(Vec::new()), Mutex::new(Vec::new())])
         .collect();
     let pending: RwLock<Vec<Pending>> = RwLock::new(Vec::new());
-    let staging: RwLock<Vec<Mutex<Option<Staged>>>> = RwLock::new(Vec::new());
+    // The route phase's output, one list per worker: each routed packet
+    // with a non-empty path, beside its index in `pending`.
+    let routed: Vec<Mutex<Vec<(usize, Packet)>>> =
+        (0..threads).map(|_| Mutex::new(Vec::new())).collect();
 
     let phase = AtomicUsize::new(STEP_PHASE);
     let cursor = AtomicUsize::new(0);
@@ -311,10 +331,11 @@ pub(crate) fn run_sharded_ckpt(
     // ------------------------------------------------------------------
     let job = |w: usize| {
         let mut local_steals = 0u64;
+        let t = cur_t.load(Ordering::SeqCst);
         match phase.load(Ordering::SeqCst) {
             ROUTE_PHASE => {
                 let pend = pending.read().unwrap();
-                let stage = staging.read().unwrap();
+                let mut out = routed[w].lock().unwrap();
                 let chunks = pend.len().div_ceil(ROUTE_CHUNK);
                 loop {
                     let base = cursor.fetch_add(ROUTE_CHUNK, Ordering::Relaxed);
@@ -329,32 +350,33 @@ pub(crate) fn run_sharded_ckpt(
                         let mut prng = route_rng_for(seed, pj.idx);
                         let path = paths.path(&pj.src, &pj.dst, &mut prng);
                         debug_assert!(path.is_valid(mesh), "path source produced invalid walk");
-                        let edge0 = if path.is_empty() {
-                            GONE
-                        } else {
-                            let nodes = path.nodes();
-                            mesh.edge_id(&nodes[0], &nodes[1]).0
+                        if path.is_empty() {
+                            continue; // delivered at injection
+                        }
+                        let mut p = Packet {
+                            inj: pj.idx,
+                            injected_at: t,
+                            arrived: t,
+                            rank: pj.rank,
+                            ..Packet::default()
                         };
-                        *stage[k].lock().unwrap() = Some((path, edge0));
+                        p.set_path(mesh, &path);
+                        out.push((k, p));
                     }
                 }
             }
-            _ => {
-                let t = cur_t.load(Ordering::SeqCst);
-                let arena = arena.read().unwrap();
-                loop {
-                    let s = cursor.fetch_add(1, Ordering::Relaxed);
-                    if s >= shards_n {
-                        break;
-                    }
-                    if pool::home_of(s, shards_n, threads) != w {
-                        local_steals += 1;
-                    }
-                    step_shard(
-                        &arena, &map, &shards[s], &inboxes, mesh, paths, policy, faults, s, t,
-                    );
+            _ => loop {
+                let s = cursor.fetch_add(1, Ordering::Relaxed);
+                if s >= shards_n {
+                    break;
                 }
-            }
+                if pool::home_of(s, shards_n, threads) != w {
+                    local_steals += 1;
+                }
+                step_shard(
+                    &map, &shards[s], &inboxes, mesh, paths, policy, faults, s, t,
+                );
+            },
         }
         if local_steals > 0 {
             steals.fetch_add(local_steals, Ordering::Relaxed);
@@ -362,7 +384,7 @@ pub(crate) fn run_sharded_ckpt(
     };
 
     // ------------------------------------------------------------------
-    // The coordinator: injection draws, arena growth, per-step metric
+    // The coordinator: injection draws, packet numbering, per-step metric
     // aggregation, termination — the shared step protocol lives in the
     // stepper; this function adds only the shard bookkeeping. Runs
     // strictly between parallel rounds.
@@ -370,9 +392,12 @@ pub(crate) fn run_sharded_ckpt(
     let mut sp = Stepper::new(sim.rate(), faults, steps, seed, ckpt, resume);
     let nodes: Vec<Coord> = mesh.coords().collect();
     let mut alive = 0usize;
+    // Packet ids issued so far: the next packet's id.
+    let mut next_id = 0u64;
     let mut delivered_instant = 0usize;
     let mut handoffs_total = 0u64;
     let mut max_imbalance = 0u64;
+    let mut merged: Vec<(usize, Packet)> = Vec::new();
 
     // Latencies carried over from a resumed snapshot (includes the zeros
     // of pre-resume instant deliveries); `delivered_instant` counts only
@@ -380,29 +405,18 @@ pub(crate) fn run_sharded_ckpt(
     let mut base_latencies: Vec<u64> = Vec::new();
     if let Some(st) = resume {
         alive = st.packets.len();
+        next_id = st.arena_len;
         handoffs_total = st.handoffs_total;
         max_imbalance = st.max_imbalance;
         base_latencies = st.latencies.clone();
-        // Rebuild the arena at its pre-stop length, so post-resume
-        // packets get identical ids. Live packets join the active list of
-        // the shard owning their current edge.
-        let mut a = arena.write().unwrap();
-        for p in &st.packets {
-            let e0 = a.install(mesh, p);
-            let s = map.shard_of_edge[e0] as usize;
-            shards[s].lock().unwrap().active.push(p.id as usize);
-        }
-        while a.path.len() < st.arena_len as usize {
-            a.push_dummy(mesh);
-        }
-        drop(a);
-        for shard in &shards {
-            let mut st = shard.lock().unwrap();
-            st.live = st.active.len();
-        }
-        // Re-seed each shard's load slots with the pre-stop traversal
+        // Each live packet joins the shard owning its current edge, and
+        // each shard's load slots start from the pre-stop traversal
         // totals, so final link loads span the whole run.
         let mut locked: Vec<_> = shards.iter().map(|s| s.lock().unwrap()).collect();
+        for p in &st.packets {
+            let p = Packet::restore(mesh, p);
+            locked[map.shard_of(p.edge())].active.push(p);
+        }
         for (e, &load) in st.link_loads.iter().enumerate() {
             locked[map.shard_of_edge[e] as usize].loads[map.slot_of_edge[e] as usize] = load;
         }
@@ -431,7 +445,6 @@ pub(crate) fn run_sharded_ckpt(
                         capture_sharded(
                             mesh,
                             &map,
-                            &arena,
                             &shards,
                             &inboxes,
                             scalars,
@@ -439,6 +452,7 @@ pub(crate) fn run_sharded_ckpt(
                             delivered_instant,
                             handoffs_total,
                             max_imbalance,
+                            next_id,
                         )
                     });
                     if let Some(stop) = stop {
@@ -446,49 +460,39 @@ pub(crate) fn run_sharded_ckpt(
                         return false;
                     }
                     timer.start();
+                    cur_t.store(sp.t, Ordering::SeqCst);
                     // Draw this step's injections into the shared pending
                     // list (cleared by the stepper: drain steps must not
                     // replay the final injection step's list).
                     let mut pend = pending.write().unwrap();
                     sp.draw_injections(mesh, &nodes, pattern, &mut pend);
+                    stage = Stage::Routed;
                     if !pend.is_empty() {
-                        let mut stage_slots = staging.write().unwrap();
-                        stage_slots.clear();
-                        stage_slots.resize_with(pend.len(), || Mutex::new(None));
-                        drop(stage_slots);
-                        drop(pend);
                         phase.store(ROUTE_PHASE, Ordering::SeqCst);
                         cursor.store(0, Ordering::SeqCst);
-                        stage = Stage::Routed;
                         return true;
                     }
-                    stage = Stage::Routed;
                 }
                 Stage::Routed => {
-                    // Commit routed injections into the arena in draw
-                    // order (deterministic), then run the step phase.
-                    let t = sp.t;
-                    let pend = pending.read().unwrap();
-                    if !pend.is_empty() {
-                        let stage_slots = staging.read().unwrap();
-                        let mut arena = arena.write().unwrap();
-                        for (k, pj) in pend.iter().enumerate() {
-                            let (path, edge0) =
-                                stage_slots[k].lock().unwrap().take().expect("routed slot");
-                            if edge0 == GONE {
-                                delivered_instant += 1;
-                                continue;
-                            }
-                            let id = arena.path.len();
-                            arena.push_fresh(path, t, pj.rank, pj.idx, edge0);
-                            let s = map.shard_of_edge[edge0] as usize;
-                            shards[s].lock().unwrap().active.push(id);
-                            alive += 1;
-                        }
+                    // Number the routed injections in draw order
+                    // (deterministic) and hand each to the shard of its
+                    // first edge, then run the step phase.
+                    for out in &routed {
+                        merged.append(&mut out.lock().unwrap());
                     }
-                    drop(pend);
+                    merged.sort_unstable_by_key(|&(k, _)| k);
+                    delivered_instant += pending.read().unwrap().len() - merged.len();
+                    for (_, mut p) in merged.drain(..) {
+                        p.id = next_id;
+                        next_id += 1;
+                        shards[map.shard_of(p.edge())]
+                            .lock()
+                            .unwrap()
+                            .active
+                            .push(p);
+                        alive += 1;
+                    }
                     timer.inject_done();
-                    cur_t.store(t, Ordering::SeqCst);
                     phase.store(STEP_PHASE, Ordering::SeqCst);
                     cursor.store(0, Ordering::SeqCst);
                     stage = Stage::Stepped;
@@ -515,8 +519,8 @@ pub(crate) fn run_sharded_ckpt(
                             fs.drops += st.step_drops;
                             fs.dead_letters += st.step_dead;
                         }
-                        live_max = live_max.max(st.live as u64);
-                        live_min = live_min.min(st.live as u64);
+                        live_max = live_max.max(st.active.len() as u64);
+                        live_min = live_min.min(st.active.len() as u64);
                     }
                     let imbalance = live_max.saturating_sub(live_min);
                     alive -= (delivered_step + dead_step) as usize;
@@ -588,34 +592,33 @@ fn gather(
 }
 
 /// Captures the full sharded-engine state at a step boundary into a
-/// canonical [`EngineState`]: live packet ids are the union of shard
-/// active lists and the current-parity inboxes, sorted ascending, and
-/// latencies are sorted — so the bytes are independent of shard finish
-/// order, and therefore of the thread count.
+/// canonical [`EngineState`]: live packets are the union of the shards'
+/// active lists and current-parity inboxes, sorted by id, and latencies
+/// are sorted — so the bytes are independent of shard finish order, and
+/// therefore of the thread count.
 #[allow(clippy::too_many_arguments)]
 fn capture_sharded(
     mesh: &Mesh,
     map: &ShardMap,
-    arena: &RwLock<Arena>,
     shards: &[Mutex<ShardState>],
-    inboxes: &[[Mutex<Vec<usize>>; 2]],
+    inboxes: &Inboxes,
     scalars: &BoundaryScalars<'_>,
     base_latencies: &[u64],
     delivered_instant: usize,
     handoffs_total: u64,
     max_imbalance: u64,
+    next_id: u64,
 ) -> EngineState {
     let t = scalars.t;
-    let arena = arena.read().unwrap();
-    let mut ids: Vec<usize> = Vec::new();
+    let mut packets = Vec::new();
     for (s, shard) in shards.iter().enumerate() {
         let st = shard.lock().unwrap();
-        ids.extend(st.active.iter().copied().filter(|&i| i != GONE));
+        packets.extend(st.active.iter().map(|p| p.capture(mesh)));
         drop(st);
-        ids.extend(inboxes[s][(t % 2) as usize].lock().unwrap().iter().copied());
+        let inbox = inboxes[s][(t % 2) as usize].lock().unwrap();
+        packets.extend(inbox.iter().map(|p| p.capture(mesh)));
     }
-    ids.sort_unstable();
-    let packets = ids.iter().map(|&i| arena.extract(mesh, i)).collect();
+    packets.sort_unstable_by_key(|p| p.id);
     let (mut latencies, link_loads) = gather(map, shards, base_latencies, delivered_instant);
     latencies.sort_unstable();
     EngineState {
@@ -623,7 +626,7 @@ fn capture_sharded(
         rng: scalars.rng.state(),
         injected: scalars.injected as u64,
         inj_idx: scalars.inj_idx,
-        arena_len: arena.path.len() as u64,
+        arena_len: next_id,
         handoffs_total,
         max_imbalance,
         latencies,
@@ -634,50 +637,16 @@ fn capture_sharded(
     }
 }
 
-/// Swaps packet `i`'s path for a freshly resampled one drawn from the
-/// plan's derived RNG, restarting it at position 0, and returns the new
-/// first edge.
-#[allow(clippy::too_many_arguments)]
-fn resample_arena(
-    arena: &Arena,
-    paths: &(dyn PathSource + Sync),
-    mesh: &Mesh,
-    fx: &Faults<'_>,
-    i: usize,
-    pos: usize,
-    attempts: u32,
-    t: u64,
-) -> usize {
-    let mut path = arena.path[i].lock().unwrap();
-    let cur = path.nodes()[pos];
-    let dst = *path.nodes().last().expect("non-empty path");
-    let mut rng = fx.plan.resample_rng(arena.inj[i], attempts);
-    let np = paths.resample(&cur, &dst, &mut rng);
-    debug_assert!(np.is_valid(mesh), "resampled path invalid");
-    let nodes = np.nodes();
-    let e2 = mesh.edge_id(&nodes[0], &nodes[1]).0;
-    *path = np;
-    drop(path);
-    let mut clock = FaultClock::default();
-    clock.resampled(attempts, t);
-    arena.pos[i].store(0, Ordering::Relaxed);
-    arena.attempts[i].store(clock.attempts, Ordering::Relaxed);
-    arena.backoff[i].store(clock.backoff_until, Ordering::Relaxed);
-    arena.cur_edge[i].store(e2, Ordering::Relaxed);
-    e2
-}
-
 /// One shard's contend-and-commit for step `t`: drain the parity inbox,
-/// scan the active list (compacting tombstones), pick the winner per
-/// link, and commit winners — advancing positions, recording loads and
-/// latencies, and pushing cross-shard handoffs into the next-parity
-/// inbox of the destination shard.
+/// pick the winner per link among the shard's packets, commit winners —
+/// advancing them, recording loads and latencies — and then, in one
+/// compaction pass, drop finished packets and move each packet whose next
+/// link lies in another shard into that shard's next-parity inbox.
 #[allow(clippy::too_many_arguments)]
 fn step_shard(
-    arena: &Arena,
     map: &ShardMap,
     shard: &Mutex<ShardState>,
-    inboxes: &[[Mutex<Vec<usize>>; 2]],
+    inboxes: &Inboxes,
     mesh: &Mesh,
     paths: &(dyn PathSource + Sync),
     policy: crate::SchedulingPolicy,
@@ -687,150 +656,76 @@ fn step_shard(
 ) {
     let mut st = shard.lock().unwrap();
     let st = &mut *st;
-    st.step_handoffs = 0;
     st.step_delivered = 0;
     st.step_dead = 0;
     st.step_blocked = 0;
     st.step_resamples = 0;
     st.step_drops = 0;
-    {
-        let mut ib = inboxes[s][(t % 2) as usize].lock().unwrap();
-        st.active.append(&mut ib);
-    }
+    st.active
+        .append(&mut inboxes[s][(t % 2) as usize].lock().unwrap());
     // Contention scan. A packet whose next link is down does not
     // contend; its recovery decision runs here instead.
-    let mut w = 0usize;
-    for r in 0..st.active.len() {
-        let i = st.active[r];
-        if i == GONE {
-            continue;
-        }
-        let pos = arena.pos[i].load(Ordering::Relaxed);
-        let e = arena.cur_edge[i].load(Ordering::Relaxed);
+    for (r, p) in st.active.iter_mut().enumerate() {
         if let Some(fx) = &faults {
-            if fx.plan.link_down(EdgeId(e), t) {
+            if fx.plan.link_down(p.edge(), t) {
                 st.step_blocked += 1;
-                // Round-trip the packet's fault clock through the shared
-                // transition rules (arena atomics are just its storage).
-                let mut clock = FaultClock::restore(
-                    arena.attempts[i].load(Ordering::Relaxed),
-                    arena.backoff[i].load(Ordering::Relaxed),
-                );
-                match clock.adverse(fx, t) {
-                    Adverse::Hold => {
-                        arena.attempts[i].store(clock.attempts, Ordering::Relaxed);
-                        arena.backoff[i].store(clock.backoff_until, Ordering::Relaxed);
-                    }
-                    Adverse::DeadLetter => {
-                        st.step_dead += 1;
-                        continue; // drops out of the active list
-                    }
-                    Adverse::Resample { attempts } => {
-                        st.step_resamples += 1;
-                        let e2 = resample_arena(arena, paths, mesh, fx, i, pos, attempts, t);
-                        let s2 = map.shard_of_edge[e2] as usize;
-                        if s2 != s {
-                            st.step_handoffs += 1;
-                            inboxes[s2][((t + 1) % 2) as usize].lock().unwrap().push(i);
-                            continue; // now owned by the other shard
-                        }
-                    }
-                }
-                // Blocked (or resampled in place): stays active, does
-                // not contend this step.
-                st.active[w] = i;
-                w += 1;
+                let outcome = p.adverse(paths, mesh, fx, t);
+                st.step_dead += u64::from(outcome == Adverse::DeadLetter);
+                st.step_resamples += u64::from(matches!(outcome, Adverse::Resample { .. }));
                 continue;
             }
         }
-        st.active[w] = i;
-        let remaining = (arena.path[i].lock().unwrap().len() - pos) as u64;
-        let key = policy_key(
-            policy,
-            arena.arrived[i].load(Ordering::Relaxed),
-            arena.rank[i],
-            remaining,
-            i as u64,
-        );
-        st.contention.offer(map.slot_of_edge[e] as usize, key, w);
-        w += 1;
+        let remaining = (p.edges.len() - p.pos as usize) as u64;
+        let key = policy_key(policy, p.arrived, p.rank, remaining, p.id);
+        st.contention
+            .offer(map.slot_of_edge[p.edge().0] as usize, key, r);
     }
-    st.active.truncate(w);
     // Commit winners in touch order (order-free outcomes: one winner per
     // link, keys totally ordered).
     st.step_busy = st.contention.busy() as u32;
     st.step_max_group = 0;
-    let mut tombstoned = 0usize;
     for won in st.contention.drain() {
         st.step_max_group = st.step_max_group.max(won.group);
-        let (slot, i, r) = (won.slot, won.key.1 as usize, won.at);
+        let p = &mut st.active[won.at];
         if let Some(fx) = &faults {
             // The winning traversal can still lose the packet to
             // per-link drop; the recovery policy then decides whether it
             // is re-sent (from the same node) or dies.
-            let e = arena.cur_edge[i].load(Ordering::Relaxed);
-            if fx.plan.drops(EdgeId(e), t, arena.inj[i]) {
+            if fx.plan.drops(p.edge(), t, p.inj) {
                 st.step_drops += 1;
-                let mut clock = FaultClock::restore(
-                    arena.attempts[i].load(Ordering::Relaxed),
-                    arena.backoff[i].load(Ordering::Relaxed),
-                );
-                match clock.adverse(fx, t) {
-                    Adverse::Hold => {
-                        arena.attempts[i].store(clock.attempts, Ordering::Relaxed);
-                        arena.backoff[i].store(clock.backoff_until, Ordering::Relaxed);
-                    }
-                    Adverse::DeadLetter => {
-                        st.step_dead += 1;
-                        st.active[r] = GONE;
-                        tombstoned += 1;
-                    }
-                    Adverse::Resample { attempts } => {
-                        st.step_resamples += 1;
-                        let pos = arena.pos[i].load(Ordering::Relaxed);
-                        let e2 = resample_arena(arena, paths, mesh, fx, i, pos, attempts, t);
-                        let s2 = map.shard_of_edge[e2] as usize;
-                        if s2 != s {
-                            st.step_handoffs += 1;
-                            inboxes[s2][((t + 1) % 2) as usize].lock().unwrap().push(i);
-                            st.active[r] = GONE;
-                            tombstoned += 1;
-                        }
-                    }
-                }
+                let outcome = p.adverse(paths, mesh, fx, t);
+                st.step_dead += u64::from(outcome == Adverse::DeadLetter);
+                st.step_resamples += u64::from(matches!(outcome, Adverse::Resample { .. }));
                 continue; // no advance, no load
             }
             // A completed hop clears the recovery state.
-            let cleared = FaultClock::default();
-            arena.attempts[i].store(cleared.attempts, Ordering::Relaxed);
-            arena.backoff[i].store(cleared.backoff_until, Ordering::Relaxed);
+            p.clock = FaultClock::default();
         }
-        let pos = arena.pos[i].load(Ordering::Relaxed) + 1;
-        arena.pos[i].store(pos, Ordering::Relaxed);
-        arena.arrived[i].store(t + 1, Ordering::Relaxed);
-        st.loads[slot] += 1;
-        let path = arena.path[i].lock().unwrap();
-        if pos == path.len() {
-            drop(path);
-            st.latencies.push(t + 1 - arena.injected_at[i]);
+        p.pos += 1;
+        p.arrived = t + 1;
+        st.loads[won.slot] += 1;
+        if p.finished() {
+            st.latencies.push(t + 1 - p.injected_at);
             st.step_delivered += 1;
-            st.active[r] = GONE;
-            tombstoned += 1;
-        } else {
-            let nodes = path.nodes();
-            let e2 = mesh.edge_id(&nodes[pos], &nodes[pos + 1]);
-            drop(path);
-            arena.cur_edge[i].store(e2.0, Ordering::Relaxed);
-            let s2 = map.shard_of_edge[e2.0] as usize;
-            if s2 != s {
-                st.step_handoffs += 1;
-                inboxes[s2][((t + 1) % 2) as usize].lock().unwrap().push(i);
-                st.active[r] = GONE;
-                tombstoned += 1;
-            }
         }
     }
-    st.live = w - tombstoned;
+    // Compaction: finished packets are dropped, freeing their paths, and a
+    // packet whose next link lies in another shard moves there by value.
+    let mut handoffs = 0u64;
+    st.active.retain_mut(|p| {
+        if p.finished() {
+            return false;
+        }
+        let s2 = map.shard_of(p.edge());
+        if s2 == s {
+            return true;
+        }
+        handoffs += 1;
+        let inbox = &inboxes[s2][((t + 1) % 2) as usize];
+        inbox.lock().unwrap().push(std::mem::take(p));
+        false
+    });
+    st.step_handoffs = handoffs;
 }
 
 #[cfg(test)]

@@ -93,10 +93,9 @@ fn fault_decision(
 }
 
 /// A packet's MTTR/MTBF fault-recovery clock: budget consumed so far and
-/// the step before which no further recovery decision is made. The
-/// sharded engine round-trips it through its arena atomics and
-/// snapshots carry it in their packet records — but the transition
-/// rules live only here.
+/// the step before which no further recovery decision is made. Each
+/// packet record of the engine holds one and snapshots carry it in their
+/// packet records — but the transition rules live only here.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub(crate) struct FaultClock {
     /// Fault-recovery budget units consumed so far.

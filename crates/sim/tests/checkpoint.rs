@@ -378,3 +378,65 @@ fn resume_across_thread_counts() {
     assert!(resumed.same_outcome(&reference));
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A kill at a step with no packet in flight while injection goes on:
+/// the snapshot holds no packet but a non-zero count of ids issued, and
+/// the resumed run must go on numbering packets from that count — a
+/// later snapshot's bytes and the final outcome both equal the
+/// uninterrupted run's, at one thread and at two.
+#[test]
+fn resume_with_no_packet_in_flight() {
+    let mesh = Mesh::new_mesh(&[4, 4]);
+    let pattern = UniformTraffic::new(mesh.clone());
+    let paths = random_dim_order(&mesh);
+    let sim = OnlineSim::new(&mesh, SchedulingPolicy::Fifo, 0.03);
+    let seed = 5;
+    let later = STEPS - 10;
+    // The payload of the snapshot a run (fresh, or resumed from `resume`)
+    // writes at step `at`, the only step it saves at before it stops.
+    let snapshot_at = |at: u64, threads: usize, resume: Option<&EngineState>| {
+        let dir = tmp_dir("idle");
+        let store = Store::open(&dir).unwrap();
+        let cfg = CheckpointCfg {
+            store: &store,
+            every: at,
+            stop_at: Some(at + 1),
+            config_hash: 5,
+            resume_generation: 0,
+            resume_step: resume.map(|st| st.t),
+        };
+        let res = sim.run_sharded_ckpt(&pattern, &paths, STEPS, seed, threads, Some(&cfg), resume);
+        assert!(res.is_err(), "stop_at must interrupt");
+        let snap = store
+            .load_latest(5)
+            .snapshot
+            .expect("snapshot at the cadence step");
+        assert_eq!(snap.step, at);
+        let _ = std::fs::remove_dir_all(&dir);
+        snap.payload
+    };
+    let idle = (1..later)
+        .map(|at| EngineState::decode(&snapshot_at(at, 1, None), &mesh).unwrap())
+        .find(|st| st.packets.is_empty() && st.arena_len > 0)
+        .expect("some step before the last injection has no packet in flight");
+    assert!(idle.t < STEPS, "injection continues after the kill");
+
+    let reference = sim.run_sharded(&pattern, &paths, STEPS, seed, 1);
+    let reference_later = snapshot_at(later, 1, None);
+    for threads in [1, 2] {
+        assert_eq!(
+            snapshot_at(later, threads, Some(&idle)),
+            reference_later,
+            "threads={threads}: step-{later} snapshot after resuming at step {}",
+            idle.t
+        );
+        let resumed = sim
+            .run_sharded_ckpt(&pattern, &paths, STEPS, seed, threads, None, Some(&idle))
+            .expect("resumed run completes");
+        assert!(
+            resumed.same_outcome(&reference),
+            "threads={threads}:\n resumed {resumed:?}\n  vs ref {reference:?}"
+        );
+        assert_eq!(resumed.sharding, reference.sharding);
+    }
+}
