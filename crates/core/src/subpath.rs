@@ -6,11 +6,16 @@
 //! "at most one-bend" path of Lemma 3.5. Such a walk is always a shortest
 //! path between its endpoints.
 
-use oblivion_mesh::{Coord, Mesh};
+use oblivion_mesh::{Coord, Mesh, Topology};
 
 /// Appends to `out` the nodes of the dimension-by-dimension shortest walk
 /// from `*cur` to `to`, visiting dimensions in `order`; `*cur` itself is
 /// **not** appended (callers seed it). Afterwards `*cur == to`.
+///
+/// The nodes are those of repeated [`Mesh::step_towards`] calls, but each
+/// axis segment's direction and length are found once and its run pushed
+/// in a tight loop: on a torus the shorter way round never changes along
+/// a segment (ties go forward, as in `step_towards`).
 pub fn extend_dim_by_dim(
     mesh: &Mesh,
     cur: &mut Coord,
@@ -20,10 +25,30 @@ pub fn extend_dim_by_dim(
 ) {
     debug_assert_eq!(cur.dim(), to.dim());
     debug_assert_eq!(order.len(), cur.dim());
+    let torus = mesh.topology() == Topology::Torus;
     for &axis in order {
-        while let Some(next) = mesh.step_towards(cur, to[axis], axis) {
-            out.push(next);
-            *cur = next;
+        let (mut x, target) = (cur[axis], to[axis]);
+        if x == target {
+            continue;
+        }
+        let m = mesh.side(axis);
+        let (forward, len) = if torus {
+            let fwd = (target + m - x) % m;
+            let bwd = (x + m - target) % m;
+            (fwd <= bwd, fwd.min(bwd))
+        } else {
+            (target > x, x.abs_diff(target))
+        };
+        out.reserve(len as usize);
+        for _ in 0..len {
+            x = match (forward, x) {
+                (true, x) if x + 1 == m => 0,
+                (true, x) => x + 1,
+                (false, 0) => m - 1,
+                (false, x) => x - 1,
+            };
+            cur[axis] = x;
+            out.push(*cur);
         }
     }
     debug_assert_eq!(cur, to);

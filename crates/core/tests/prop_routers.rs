@@ -2,8 +2,8 @@
 //! invariants, stretch guarantees, bit accounting.
 
 use oblivion_core::{
-    stretch_bound, AccessTree, Busch2D, BuschD, BuschPadded, BuschTorus, DimOrder, ObliviousRouter,
-    RandomDimOrder, RandomnessMode, Romm, Valiant,
+    extend_dim_by_dim, stretch_bound, AccessTree, Busch2D, BuschD, BuschPadded, BuschTorus,
+    DimOrder, ObliviousRouter, RandomDimOrder, RandomnessMode, Romm, Valiant,
 };
 use oblivion_mesh::{Coord, Mesh, MAX_DIM};
 use proptest::prelude::*;
@@ -216,6 +216,92 @@ proptest! {
         prop_assert_eq!(rp.path.target(), &t);
         if s != t {
             prop_assert!(rp.path.stretch(&torus) <= stretch_bound(d));
+        }
+    }
+}
+
+/// The per-hop reference for `extend_dim_by_dim`: one
+/// `Mesh::step_towards` call per node of the walk.
+fn step_by_step(mesh: &Mesh, from: &Coord, to: &Coord, order: &[usize]) -> Vec<Coord> {
+    let mut out = vec![*from];
+    let mut cur = *from;
+    for &axis in order {
+        while let Some(next) = mesh.step_towards(&cur, to[axis], axis) {
+            out.push(next);
+            cur = next;
+        }
+    }
+    out
+}
+
+/// Strategy: a mesh or torus of every `d <= MAX_DIM` with sides 1..=6
+/// (side-1 and side-2 axes come up often), two of its nodes and a random
+/// axis order. On each axis flagged `half` with an even side, the target
+/// sits exactly half way round: on a torus a tie, forward distance equal
+/// to backward distance.
+fn walk_scenario() -> impl Strategy<Value = (Mesh, Coord, Coord, Vec<usize>)> {
+    (1usize..=MAX_DIM)
+        .prop_flat_map(|d| {
+            (
+                prop::collection::vec(1u32..=6, d),
+                any::<bool>(),
+                prop::collection::vec(any::<u32>(), d),
+                prop::collection::vec(any::<u32>(), d),
+                prop::collection::vec(any::<bool>(), d),
+                prop::collection::vec(any::<u64>(), d),
+            )
+        })
+        .prop_map(|(dims, torus, a, b, half, keys)| {
+            let s: Vec<u32> = a.iter().zip(&dims).map(|(&x, &m)| x % m).collect();
+            let t: Vec<u32> = (0..dims.len())
+                .map(|i| match dims[i] {
+                    m if half[i] && m % 2 == 0 => (s[i] + m / 2) % m,
+                    m => b[i] % m,
+                })
+                .collect();
+            let mut order: Vec<usize> = (0..dims.len()).collect();
+            order.sort_by_key(|&i| keys[i]);
+            let mesh = if torus {
+                Mesh::new_torus(&dims)
+            } else {
+                Mesh::new_mesh(&dims)
+            };
+            (mesh, Coord::new(&s), Coord::new(&t), order)
+        })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1024))]
+
+    /// `extend_dim_by_dim` pushes each axis segment as one run; it visits
+    /// exactly the nodes of the per-hop `step_towards` walk.
+    #[test]
+    fn dim_by_dim_walk_equals_per_hop_walk((mesh, s, t, order) in walk_scenario()) {
+        let mut cur = s;
+        let mut walk = vec![s];
+        extend_dim_by_dim(&mesh, &mut cur, &t, &order, &mut walk);
+        prop_assert_eq!(cur, t);
+        prop_assert_eq!(walk, step_by_step(&mesh, &s, &t, &order));
+    }
+}
+
+/// Every pair of nodes on rings and lines of sides 1..=8: each torus tie
+/// of an even side, and each wrap, meets the reference at least once.
+#[test]
+fn dim_by_dim_walk_equals_per_hop_walk_on_every_1d_pair() {
+    for m in 1u32..=8 {
+        for mesh in [Mesh::new_mesh(&[m]), Mesh::new_torus(&[m])] {
+            for (x, y) in (0..m).flat_map(|x| (0..m).map(move |y| (x, y))) {
+                let (s, t) = (Coord::new(&[x]), Coord::new(&[y]));
+                let mut cur = s;
+                let mut walk = vec![s];
+                extend_dim_by_dim(&mesh, &mut cur, &t, &[0], &mut walk);
+                assert_eq!(
+                    walk,
+                    step_by_step(&mesh, &s, &t, &[0]),
+                    "{mesh:?} {x} -> {y}"
+                );
+            }
         }
     }
 }

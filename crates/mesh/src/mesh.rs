@@ -361,10 +361,21 @@ impl Mesh {
     /// The id of the undirected edge between two adjacent coordinates.
     ///
     /// # Panics
-    /// Panics if the coordinates are not adjacent.
+    /// Panics if the coordinates are not adjacent (exactly when
+    /// [`Self::adjacent`] is false).
+    #[inline]
     pub fn edge_id(&self, a: &Coord, b: &Coord) -> EdgeId {
-        assert!(self.adjacent(a, b), "{a:?} and {b:?} are not adjacent");
-        let axis = (0..self.dim()).find(|&i| a[i] != b[i]).unwrap();
+        // One pass finds the differing axis and counts how many differ.
+        let (mut axis, mut diffs) = (0, 0);
+        for i in 0..self.dim() {
+            if a[i] != b[i] {
+                axis = i;
+                diffs += 1;
+            }
+        }
+        if a.dim() != b.dim() || diffs != 1 {
+            not_adjacent(a, b);
+        }
         let m = self.dims[axis];
         let (xa, xb) = (a[axis], b[axis]);
         // The owner is the lower endpoint, except for a torus wrap link
@@ -372,6 +383,9 @@ impl Mesh {
         // the m-1 endpoint.
         let is_wrap =
             self.topology == Topology::Torus && m > 2 && xa.min(xb) == 0 && xa.max(xb) == m - 1;
+        if xa.abs_diff(xb) != 1 && !is_wrap {
+            not_adjacent(a, b);
+        }
         let owner = if (xa < xb) != is_wrap { a } else { b };
         let st = &self.edge_strides[axis];
         let mut slot = 0usize;
@@ -417,6 +431,13 @@ impl Mesh {
     pub fn coords(&self) -> impl Iterator<Item = Coord> + '_ {
         self.node_ids().map(move |id| self.coord(id))
     }
+}
+
+/// The panic of [`Mesh::edge_id`], kept out of its inlined body.
+#[cold]
+#[inline(never)]
+fn not_adjacent(a: &Coord, b: &Coord) -> ! {
+    panic!("{a:?} and {b:?} are not adjacent")
 }
 
 #[cfg(test)]

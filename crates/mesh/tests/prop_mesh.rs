@@ -3,6 +3,8 @@
 use oblivion_mesh::{Coord, CycleTable, Mesh, Path, Submesh, Topology};
 use proptest::prelude::*;
 use std::collections::HashMap;
+use std::panic::{self, AssertUnwindSafe};
+use std::sync::Once;
 
 /// Strategy: a mesh with 1–4 dimensions, sides 1–12, ≤ 4096 nodes.
 fn arb_mesh() -> impl Strategy<Value = Mesh> {
@@ -203,6 +205,59 @@ proptest! {
             if home {
                 prop_assert_eq!(want.len(), 1);
             }
+        }
+    }
+}
+
+/// A pair of nodes of `mesh` of one of six kinds: equal; one step up an
+/// axis (wrapping at its top); one step up two axes; two steps up one
+/// axis; the two ends `0` and `m - 1` of one axis, adjacent only on a
+/// torus with `m > 2` or on a side-2 axis; and an unrelated node.
+fn pair_of_kind(mesh: &Mesh, a: Coord, kind: usize, r: usize) -> (Coord, Coord) {
+    let d = mesh.dim();
+    let (axis, axis2) = (r % d, (r + 1) % d);
+    let (m, m2) = (mesh.side(axis), mesh.side(axis2));
+    let (mut a, mut b) = (a, a);
+    match kind {
+        0 => {}
+        1 => b[axis] = (a[axis] + 1) % m,
+        2 => {
+            b[axis] = (a[axis] + 1) % m;
+            b[axis2] = (a[axis2] + 1) % m2;
+        }
+        3 => b[axis] = (a[axis] + 2) % m,
+        4 => (a[axis], b[axis]) = (0, m - 1),
+        _ => b = mesh.coord(oblivion_mesh::NodeId(r % mesh.node_count())),
+    }
+    (a, b)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1024))]
+
+    /// `edge_id` panics exactly on the pairs `adjacent` rejects, and
+    /// otherwise names the edge between them.
+    #[test]
+    fn edge_id_panics_exactly_when_not_adjacent(
+        (mesh, a) in mesh_and_coord(),
+        kind in 0usize..6,
+        r in 0usize..4096,
+    ) {
+        static QUIET: Once = Once::new();
+        QUIET.call_once(|| {
+            let default = panic::take_hook();
+            panic::set_hook(Box::new(move |info| {
+                if !info.to_string().contains("are not adjacent") {
+                    default(info);
+                }
+            }));
+        });
+        let (a, b) = pair_of_kind(&mesh, a, kind, r);
+        let id = panic::catch_unwind(AssertUnwindSafe(|| mesh.edge_id(&a, &b)));
+        prop_assert_eq!(id.is_err(), !mesh.adjacent(&a, &b), "{:?} {:?} {:?}", mesh, a, b);
+        if let Ok(e) = id {
+            let (x, y) = mesh.edge_endpoints(e);
+            prop_assert!((x, y) == (a, b) || (x, y) == (b, a));
         }
     }
 }

@@ -23,6 +23,17 @@
 //!    an order-free aggregate. A delivered or dead-lettered record is
 //!    dropped, freeing its path.
 //!
+//! Beside its records each shard keeps a **wait array**: per packet, the
+//! slot of the link it waits on and its contention key. A waiting
+//! packet's key cannot change — its arrival step, remaining hops, rank
+//! and id move only when it advances or is resampled — so the key is
+//! computed when the packet joins the shard, advances or is resampled,
+//! and the contention scan reads only the wait array (a record only when
+//! a fault plan must check its link). Compaction after the commits visits
+//! only the packets that advanced, were resampled or were dead-lettered,
+//! highest index first, each `swap_remove` pulling in a packet already
+//! visited or unchanged.
+//!
 //! The result is byte-for-byte identical for any thread count — and
 //! [`OnlineSim::run`] is this engine at one thread, run inline: the pool
 //! decides *who* computes, never *what*.
@@ -146,6 +157,17 @@ impl Packet {
         self.pos as usize == self.edges.len()
     }
 
+    /// The packet's wait: the shard slot of the link it waits on and its
+    /// contention key. Neither changes while it waits, since every field
+    /// they read moves only when it advances or is resampled.
+    fn wait(&self, map: &ShardMap, policy: crate::SchedulingPolicy) -> Wait {
+        let remaining = (self.edges.len() - self.pos as usize) as u64;
+        Wait {
+            key: policy_key(policy, self.arrived, self.rank, remaining, self.id),
+            slot: map.slot_of_edge[self.edge().0],
+        }
+    }
+
     /// Replaces the path with `path`, from its first node.
     fn set_path(&mut self, mesh: &Mesh, path: &Path) {
         self.src = mesh.node_id(&path.nodes()[0]).0 as u32;
@@ -232,11 +254,25 @@ impl Packet {
     }
 }
 
+/// A waiting packet's cached [`Packet::wait`], kept beside it so the
+/// contention scan reads no packet record.
+#[derive(Clone, Copy)]
+struct Wait {
+    key: (u64, u64),
+    slot: u32,
+}
+
 /// Per-shard mutable state. Locked by whichever worker claims the shard
 /// this step (uncontended: each shard is claimed exactly once per step).
 struct ShardState {
     /// The packets waiting on this shard's links, in no meaningful order.
     active: Vec<Packet>,
+    /// `waits[r]` is `active[r].wait(..)`, refreshed whenever the packet
+    /// joins the shard, advances or is resampled.
+    waits: Vec<Wait>,
+    /// Indices into `active` of the packets that advanced, were resampled
+    /// or were dead-lettered this step: the only ones compaction visits.
+    changed: Vec<u32>,
     /// Per-slot link contention; winners are tagged with their index in
     /// `active`.
     contention: Contention,
@@ -258,6 +294,8 @@ impl ShardState {
     fn new(slots: usize) -> Self {
         Self {
             active: Vec::new(),
+            waits: Vec::new(),
+            changed: Vec::new(),
             contention: Contention::new(slots),
             loads: vec![0; slots],
             latencies: Vec::new(),
@@ -270,6 +308,12 @@ impl ShardState {
             step_resamples: 0,
             step_drops: 0,
         }
+    }
+
+    /// Takes `p` in as one of the shard's waiting packets.
+    fn join(&mut self, map: &ShardMap, policy: crate::SchedulingPolicy, p: Packet) {
+        self.waits.push(p.wait(map, policy));
+        self.active.push(p);
     }
 }
 
@@ -415,7 +459,7 @@ pub(crate) fn run_sharded_ckpt(
         let mut locked: Vec<_> = shards.iter().map(|s| s.lock().unwrap()).collect();
         for p in &st.packets {
             let p = Packet::restore(mesh, p);
-            locked[map.shard_of(p.edge())].active.push(p);
+            locked[map.shard_of(p.edge())].join(&map, policy, p);
         }
         for (e, &load) in st.link_loads.iter().enumerate() {
             locked[map.shard_of_edge[e] as usize].loads[map.slot_of_edge[e] as usize] = load;
@@ -488,8 +532,7 @@ pub(crate) fn run_sharded_ckpt(
                         shards[map.shard_of(p.edge())]
                             .lock()
                             .unwrap()
-                            .active
-                            .push(p);
+                            .join(&map, policy, p);
                         alive += 1;
                     }
                     timer.inject_done();
@@ -638,10 +681,11 @@ fn capture_sharded(
 }
 
 /// One shard's contend-and-commit for step `t`: drain the parity inbox,
-/// pick the winner per link among the shard's packets, commit winners —
-/// advancing them, recording loads and latencies — and then, in one
-/// compaction pass, drop finished packets and move each packet whose next
-/// link lies in another shard into that shard's next-parity inbox.
+/// pick the winner per link among the shard's packets from their cached
+/// waits, commit winners — advancing them, recording loads and latencies
+/// — and then compact: of the packets that changed this step, drop the
+/// finished ones, move each whose next link lies in another shard into
+/// that shard's next-parity inbox, and refresh the rest's waits.
 #[allow(clippy::too_many_arguments)]
 fn step_shard(
     map: &ShardMap,
@@ -661,24 +705,27 @@ fn step_shard(
     st.step_blocked = 0;
     st.step_resamples = 0;
     st.step_drops = 0;
-    st.active
-        .append(&mut inboxes[s][(t % 2) as usize].lock().unwrap());
-    // Contention scan. A packet whose next link is down does not
-    // contend; its recovery decision runs here instead.
-    for (r, p) in st.active.iter_mut().enumerate() {
+    for p in inboxes[s][(t % 2) as usize].lock().unwrap().drain(..) {
+        st.join(map, policy, p);
+    }
+    // Contention scan over the cached waits. A packet whose next link is
+    // down does not contend; its recovery decision runs here instead.
+    let changed = &mut st.changed;
+    for (r, w) in st.waits.iter().enumerate() {
         if let Some(fx) = &faults {
+            let p = &mut st.active[r];
             if fx.plan.link_down(p.edge(), t) {
                 st.step_blocked += 1;
                 let outcome = p.adverse(paths, mesh, fx, t);
                 st.step_dead += u64::from(outcome == Adverse::DeadLetter);
                 st.step_resamples += u64::from(matches!(outcome, Adverse::Resample { .. }));
+                if outcome != Adverse::Hold {
+                    changed.push(r as u32);
+                }
                 continue;
             }
         }
-        let remaining = (p.edges.len() - p.pos as usize) as u64;
-        let key = policy_key(policy, p.arrived, p.rank, remaining, p.id);
-        st.contention
-            .offer(map.slot_of_edge[p.edge().0] as usize, key, r);
+        st.contention.offer(w.slot as usize, w.key, r);
     }
     // Commit winners in touch order (order-free outcomes: one winner per
     // link, keys totally ordered).
@@ -696,6 +743,9 @@ fn step_shard(
                 let outcome = p.adverse(paths, mesh, fx, t);
                 st.step_dead += u64::from(outcome == Adverse::DeadLetter);
                 st.step_resamples += u64::from(matches!(outcome, Adverse::Resample { .. }));
+                if outcome != Adverse::Hold {
+                    changed.push(won.at as u32);
+                }
                 continue; // no advance, no load
             }
             // A completed hop clears the recovery state.
@@ -708,23 +758,30 @@ fn step_shard(
             st.latencies.push(t + 1 - p.injected_at);
             st.step_delivered += 1;
         }
+        changed.push(won.at as u32);
     }
-    // Compaction: finished packets are dropped, freeing their paths, and a
-    // packet whose next link lies in another shard moves there by value.
+    // Compaction, highest index first so that each `swap_remove` pulls
+    // in a packet already visited or unchanged: finished packets are
+    // dropped, freeing their paths, a packet whose next link lies in
+    // another shard moves there by value, and the rest wait anew here.
+    changed.sort_unstable();
     let mut handoffs = 0u64;
-    st.active.retain_mut(|p| {
-        if p.finished() {
-            return false;
+    for &r in changed.iter().rev() {
+        let r = r as usize;
+        let p = &st.active[r];
+        let dest = (!p.finished()).then(|| map.shard_of(p.edge()));
+        if dest == Some(s) {
+            st.waits[r] = p.wait(map, policy);
+            continue;
         }
-        let s2 = map.shard_of(p.edge());
-        if s2 == s {
-            return true;
+        st.waits.swap_remove(r);
+        let p = st.active.swap_remove(r);
+        if let Some(s2) = dest {
+            handoffs += 1;
+            inboxes[s2][((t + 1) % 2) as usize].lock().unwrap().push(p);
         }
-        handoffs += 1;
-        let inbox = &inboxes[s2][((t + 1) % 2) as usize];
-        inbox.lock().unwrap().push(std::mem::take(p));
-        false
-    });
+    }
+    changed.clear();
     st.step_handoffs = handoffs;
 }
 

@@ -9,13 +9,12 @@ mod oracle;
 
 use oblivion_ckpt::Store;
 use oblivion_faults::{FaultConfig, FaultMode, FaultPlan, RecoveryPolicy};
-use oblivion_mesh::{Coord, Mesh, Path};
+use oblivion_mesh::Mesh;
 use oblivion_sim::{
     CheckpointCfg, EngineState, Faults, OnlineResult, OnlineSim, SchedulingPolicy, StopReason,
     UniformTraffic,
 };
-use rand::rngs::StdRng;
-use rand::Rng;
+use oracle::AxisOrder;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -34,25 +33,6 @@ fn tmp_dir(tag: &str) -> PathBuf {
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
     dir
-}
-
-/// A randomized dimension-order path source (resampling redraws).
-fn random_dim_order(mesh: &Mesh) -> impl Fn(&Coord, &Coord, &mut StdRng) -> Path + Sync + '_ {
-    move |s: &Coord, t: &Coord, rng: &mut StdRng| {
-        let mut axes: Vec<usize> = (0..mesh.dim()).collect();
-        for i in (1..axes.len()).rev() {
-            axes.swap(i, rng.gen_range(0..=i));
-        }
-        let mut nodes = vec![*s];
-        let mut cur = *s;
-        for &axis in &axes {
-            while let Some(next) = mesh.step_towards(&cur, t[axis], axis) {
-                nodes.push(next);
-                cur = next;
-            }
-        }
-        Path::new_unchecked(nodes)
-    }
 }
 
 fn transient_cfg() -> FaultConfig {
@@ -103,7 +83,7 @@ fn assert_resume_identical(
     threads: usize,
 ) {
     let pattern = UniformTraffic::new(mesh.clone());
-    let paths = random_dim_order(mesh);
+    let paths = oracle::dim_order(mesh, AxisOrder::Shuffled);
     let mut sim = OnlineSim::new(mesh, setup.policy, setup.rate);
     if let Some(p) = plan {
         sim = sim.with_faults(Faults {
@@ -215,7 +195,7 @@ fn killed_and_resumed_matches_under_transient_faults() {
 fn snapshot_bytes_are_engine_and_thread_invariant() {
     let mesh = Mesh::new_mesh(&[8, 8]);
     let pattern = UniformTraffic::new(mesh.clone());
-    let paths = random_dim_order(&mesh);
+    let paths = oracle::dim_order(&mesh, AxisOrder::Shuffled);
     let sim = OnlineSim::new(&mesh, SchedulingPolicy::Fifo, 0.2);
     let mut crcs = Vec::new();
     let mut run = |threads: usize| {
@@ -256,7 +236,7 @@ fn snapshot_bytes_are_engine_and_thread_invariant() {
 fn corrupted_newest_snapshot_falls_back_and_still_matches() {
     let mesh = Mesh::new_mesh(&[8, 8]);
     let pattern = UniformTraffic::new(mesh.clone());
-    let paths = random_dim_order(&mesh);
+    let paths = oracle::dim_order(&mesh, AxisOrder::Shuffled);
     let sim = OnlineSim::new(&mesh, SchedulingPolicy::Fifo, 0.15);
     let reference = sim.run_sharded(&pattern, &paths, STEPS, 21, 2);
 
@@ -332,7 +312,7 @@ fn corrupted_newest_snapshot_falls_back_and_still_matches() {
 fn resume_across_thread_counts() {
     let mesh = Mesh::new_mesh(&[8, 8]);
     let pattern = UniformTraffic::new(mesh.clone());
-    let paths = random_dim_order(&mesh);
+    let paths = oracle::dim_order(&mesh, AxisOrder::Shuffled);
     let sim = OnlineSim::new(&mesh, SchedulingPolicy::Fifo, 0.15);
     let reference = sim.run_sharded(&pattern, &paths, STEPS, 31, 1);
 
@@ -388,7 +368,7 @@ fn resume_across_thread_counts() {
 fn resume_with_no_packet_in_flight() {
     let mesh = Mesh::new_mesh(&[4, 4]);
     let pattern = UniformTraffic::new(mesh.clone());
-    let paths = random_dim_order(&mesh);
+    let paths = oracle::dim_order(&mesh, AxisOrder::Shuffled);
     let sim = OnlineSim::new(&mesh, SchedulingPolicy::Fifo, 0.03);
     let seed = 5;
     let later = STEPS - 10;

@@ -9,10 +9,11 @@ mod oracle;
 
 use oblivion_ckpt::Store;
 use oblivion_faults::{FaultConfig, FaultMode, FaultPlan, RecoveryPolicy};
-use oblivion_mesh::{Coord, Mesh, Path};
+use oblivion_mesh::Mesh;
 use oblivion_sim::{
     CheckpointCfg, EngineState, Faults, OnlineSim, SchedulingPolicy, UniformTraffic,
 };
+use oracle::AxisOrder;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -31,24 +32,6 @@ fn tmp_dir(tag: &str) -> PathBuf {
     dir
 }
 
-fn random_dim_order(mesh: &Mesh) -> impl Fn(&Coord, &Coord, &mut StdRng) -> Path + Sync + '_ {
-    move |s: &Coord, t: &Coord, rng: &mut StdRng| {
-        let mut axes: Vec<usize> = (0..mesh.dim()).collect();
-        for i in (1..axes.len()).rev() {
-            axes.swap(i, rng.gen_range(0..=i));
-        }
-        let mut nodes = vec![*s];
-        let mut cur = *s;
-        for &axis in &axes {
-            while let Some(next) = mesh.step_towards(&cur, t[axis], axis) {
-                nodes.push(next);
-                cur = next;
-            }
-        }
-        Path::new_unchecked(nodes)
-    }
-}
-
 /// Kills a run at `kill_at` (saving every `every` steps), resumes it from
 /// the newest snapshot, and asserts the final outcome equals the oracle's
 /// uninterrupted run.
@@ -62,7 +45,7 @@ fn check_resume(
     threads: usize,
 ) -> Result<(), proptest::test_runner::TestCaseError> {
     let pattern = UniformTraffic::new(mesh.clone());
-    let paths = random_dim_order(mesh);
+    let paths = oracle::dim_order(mesh, AxisOrder::Shuffled);
     let plan = fault_cfg.map(|cfg| FaultPlan::new(mesh, cfg, seed ^ 0xFA17, 2 * steps));
     let mut sim = OnlineSim::new(mesh, SchedulingPolicy::Fifo, 0.15);
     if let Some(p) = &plan {
@@ -165,7 +148,7 @@ proptest! {
     ) {
         let mesh = Mesh::new_mesh(&[6, 6]);
         let pattern = UniformTraffic::new(mesh.clone());
-        let paths = random_dim_order(&mesh);
+        let paths = oracle::dim_order(&mesh, AxisOrder::Shuffled);
         let sim = OnlineSim::new(&mesh, SchedulingPolicy::RandomRank, 0.2);
         let dir = tmp_dir("codec");
         let store = Store::open(&dir).unwrap();

@@ -13,35 +13,15 @@
 
 mod oracle;
 
+use oblivion_core::{ObliviousRouter, Valiant};
 use oblivion_faults::{FaultConfig, FaultMode, FaultPlan, RecoveryPolicy};
-use oblivion_mesh::{Coord, Mesh, Path};
+use oblivion_mesh::{Coord, Mesh};
 use oblivion_sim::{Faults, OnlineResult, OnlineSim, SchedulingPolicy, UniformTraffic};
+use oracle::AxisOrder;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::Rng;
 
 const THREADS: [usize; 4] = [1, 2, 3, 8];
-
-/// A randomized dimension-order path source: each draw picks a fresh
-/// random axis order, so resampling genuinely redraws the path — the
-/// property the `resample` recovery policy relies on.
-fn random_dim_order(mesh: &Mesh) -> impl Fn(&Coord, &Coord, &mut StdRng) -> Path + Sync + '_ {
-    move |s: &Coord, t: &Coord, rng: &mut StdRng| {
-        let mut axes: Vec<usize> = (0..mesh.dim()).collect();
-        for i in (1..axes.len()).rev() {
-            axes.swap(i, rng.gen_range(0..=i));
-        }
-        let mut nodes = vec![*s];
-        let mut cur = *s;
-        for &axis in &axes {
-            while let Some(next) = mesh.step_towards(&cur, t[axis], axis) {
-                nodes.push(next);
-                cur = next;
-            }
-        }
-        Path::new_unchecked(nodes)
-    }
-}
 
 fn run_pair(
     mesh: &Mesh,
@@ -53,7 +33,7 @@ fn run_pair(
 ) -> (OnlineResult, Vec<OnlineResult>) {
     let plan = FaultPlan::new(mesh, cfg, fault_seed, 2 * steps);
     let pattern = UniformTraffic::new(mesh.clone());
-    let paths = random_dim_order(mesh);
+    let paths = oracle::dim_order(mesh, AxisOrder::Shuffled);
     let sim = OnlineSim::new(mesh, SchedulingPolicy::Fifo, 0.15).with_faults(Faults {
         plan: &plan,
         recovery,
@@ -98,6 +78,56 @@ fn fault_runs_match_oracle_for_every_mode_and_policy() {
     }
 }
 
+/// Every scheduling policy under heavy per-link drop, on Valiant's
+/// non-minimal paths. A resample redraws the path from the current node,
+/// changing the packet's link and its remaining hops, so the engine must
+/// refresh its cached contention key; a dead-lettered or resampled
+/// packet must leave its shard's wait array or take a new place in it.
+#[test]
+fn every_policy_matches_oracle_under_heavy_drop() {
+    let mesh = Mesh::new_mesh(&[8, 8]);
+    let router = Valiant::new(mesh.clone());
+    let paths = |s: &Coord, t: &Coord, rng: &mut StdRng| router.select_path(s, t, rng).path;
+    let cfg = FaultConfig {
+        link_fail_prob: 0.05,
+        drop_prob: 0.2,
+        ..FaultConfig::default()
+    };
+    let plan = FaultPlan::new(&mesh, &cfg, 7, 240);
+    let pattern = UniformTraffic::new(mesh.clone());
+    for policy in [
+        SchedulingPolicy::Fifo,
+        SchedulingPolicy::FurthestToGo,
+        SchedulingPolicy::ClosestToGo,
+        SchedulingPolicy::RandomRank,
+    ] {
+        for recovery in [RecoveryPolicy::Resample, RecoveryPolicy::DropAfterBudget] {
+            let sim = OnlineSim::new(&mesh, policy, 0.1).with_faults(Faults {
+                plan: &plan,
+                recovery,
+                retry_budget: 4,
+            });
+            let reference = oracle::run(&sim, &pattern, &paths, 120, 0xD20B);
+            let fs = reference.faults.expect("fault stats present");
+            let recovered = match recovery {
+                RecoveryPolicy::Resample => fs.resamples,
+                _ => fs.dead_letters,
+            };
+            assert!(
+                fs.drops > 0 && recovered > 0,
+                "{policy:?}/{recovery:?}: {fs:?} — test is vacuous"
+            );
+            for threads in THREADS {
+                let r = sim.run_sharded(&pattern, &paths, 120, 0xD20B, threads);
+                assert!(
+                    r.same_outcome(&reference),
+                    "{policy:?}/{recovery:?} threads={threads}:\n sharded {r:?}\n  vs oracle {reference:?}"
+                );
+            }
+        }
+    }
+}
+
 #[test]
 fn node_faults_match_oracle_across_threads() {
     let mesh = Mesh::new_mesh(&[8, 8]);
@@ -124,7 +154,7 @@ fn trivial_plan_is_bit_identical_to_no_plan() {
     let plan = FaultPlan::trivial(&mesh);
     assert!(plan.is_trivial());
     let pattern = UniformTraffic::new(mesh.clone());
-    let paths = random_dim_order(&mesh);
+    let paths = oracle::dim_order(&mesh, AxisOrder::Shuffled);
     let bare = OnlineSim::new(&mesh, SchedulingPolicy::Fifo, 0.2);
     let faulted = OnlineSim::new(&mesh, SchedulingPolicy::Fifo, 0.2).with_faults(Faults {
         plan: &plan,
@@ -192,7 +222,7 @@ proptest! {
         ][recovery_ix];
         let plan = FaultPlan::new(&mesh, &cfg, fault_seed, 160);
         let pattern = UniformTraffic::new(mesh.clone());
-        let paths = random_dim_order(&mesh);
+        let paths = oracle::dim_order(&mesh, AxisOrder::Shuffled);
         let sim = OnlineSim::new(&mesh, SchedulingPolicy::Fifo, 0.1).with_faults(Faults {
             plan: &plan,
             recovery,

@@ -9,6 +9,41 @@ use oblivion_mesh::{Coord, EdgeId, Mesh, Path};
 use oblivion_sim::*;
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
+/// How a [`dim_order`] path source orders the axes of each walk.
+#[derive(Clone, Copy)]
+pub enum AxisOrder {
+    /// Axis 0 first, then axis 1, and so on; the RNG is not read.
+    Ascending,
+    /// A fresh random order per draw, so resampling genuinely redraws the
+    /// path — the property the `resample` recovery policy relies on.
+    Shuffled,
+}
+
+/// A dimension-order path source: each path corrects one axis at a time
+/// in `order`, one `Mesh::step_towards` call per hop.
+pub fn dim_order(
+    mesh: &Mesh,
+    order: AxisOrder,
+) -> impl Fn(&Coord, &Coord, &mut StdRng) -> Path + Sync + '_ {
+    move |s: &Coord, t: &Coord, rng: &mut StdRng| {
+        let mut axes: Vec<usize> = (0..mesh.dim()).collect();
+        if let AxisOrder::Shuffled = order {
+            for i in (1..axes.len()).rev() {
+                axes.swap(i, rng.gen_range(0..=i));
+            }
+        }
+        let mut nodes = vec![*s];
+        let mut cur = *s;
+        for &axis in &axes {
+            while let Some(next) = mesh.step_towards(&cur, t[axis], axis) {
+                nodes.push(next);
+                cur = next;
+            }
+        }
+        Path::new_unchecked(nodes)
+    }
+}
+
 /// The private path-selection RNG of the `idx`-th injected packet.
 fn route_rng(seed: u64, idx: u64) -> StdRng {
     let splitmix64 = |z: u64| {

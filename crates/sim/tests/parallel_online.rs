@@ -5,27 +5,13 @@
 
 mod oracle;
 
-use oblivion_mesh::{Coord, Mesh, Path};
+use oblivion_mesh::{Coord, Mesh};
 use oblivion_sim::{
     FixedTraffic, OnlineResult, OnlineSim, SchedulingPolicy, TrafficPattern, UniformTraffic,
 };
-use rand::rngs::StdRng;
+use oracle::AxisOrder;
 
 const THREADS: [usize; 4] = [1, 2, 3, 8];
-
-fn shortest_paths(mesh: &Mesh) -> impl Fn(&Coord, &Coord, &mut StdRng) -> Path + Sync + '_ {
-    move |s: &Coord, t: &Coord, _rng: &mut StdRng| {
-        let mut nodes = vec![*s];
-        let mut cur = *s;
-        for axis in 0..mesh.dim() {
-            while let Some(next) = mesh.step_towards(&cur, t[axis], axis) {
-                nodes.push(next);
-                cur = next;
-            }
-        }
-        Path::new_unchecked(nodes)
-    }
-}
 
 /// Asserts the sharded run matches the oracle bit-for-bit
 /// at every thread count, and that the shard summary is identical across
@@ -39,7 +25,7 @@ fn assert_equivalent(
     seed: u64,
 ) {
     let sim = OnlineSim::new(mesh, policy, rate);
-    let paths = shortest_paths(mesh);
+    let paths = oracle::dim_order(mesh, AxisOrder::Ascending);
     let reference: OnlineResult = oracle::run(&sim, pattern, &paths, steps, seed);
     let mut summaries = Vec::new();
     for threads in THREADS {
@@ -130,7 +116,7 @@ fn link_load_totals_conserve_traffic() {
     let mesh = Mesh::new_mesh(&[8, 8]);
     let pattern = UniformTraffic::new(mesh.clone());
     let sim = OnlineSim::new(&mesh, SchedulingPolicy::Fifo, 0.03);
-    let paths = shortest_paths(&mesh);
+    let paths = oracle::dim_order(&mesh, AxisOrder::Ascending);
     let seq = oracle::run(&sim, &pattern, &paths, 200, 21);
     let par = sim.run_sharded(&pattern, &paths, 200, 21, 4);
     assert_eq!(seq.in_flight, 0, "low-rate run should drain");
@@ -143,7 +129,7 @@ fn sharded_runs_are_reproducible() {
     let mesh = Mesh::new_mesh(&[8, 8]);
     let pattern = UniformTraffic::new(mesh.clone());
     let sim = OnlineSim::new(&mesh, SchedulingPolicy::RandomRank, 0.2);
-    let paths = shortest_paths(&mesh);
+    let paths = oracle::dim_order(&mesh, AxisOrder::Ascending);
     let a = sim.run_sharded(&pattern, &paths, 150, 31, 8);
     let b = sim.run_sharded(&pattern, &paths, 150, 31, 8);
     assert_eq!(a, b, "same seed and threads must reproduce exactly");

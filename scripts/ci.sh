@@ -84,12 +84,13 @@ timed_retry "serve soak + pipelining tests" \
 # Fault-injected runs must be byte-identical at every thread count: run
 # the same faulted online simulation at --threads 1 and 8, and compare
 # every deterministic metrics line (wall-clock spans and the whole
-# scheduling-dependent `runtime_` family excluded).
+# scheduling-dependent `runtime_` family excluded). The arguments name
+# the faults, the recovery policy and the scheduling policy of the leg.
 fault_differential() {
   local tmp
   tmp=$(mktemp -d)
   local base=(online --mesh 16x16 --router busch2d --rate 0.05 --steps 200
-    --seed 99 --fault-links 0.08 --fault-mode transient --recovery resample)
+    --seed 99 "$@")
   for threads in 1 8; do
     cargo run --offline --quiet --bin oblivion -- "${base[@]}" \
       --threads "$threads" --metrics-out "$tmp/t$threads.json" > /dev/null
@@ -97,7 +98,7 @@ fault_differential() {
       | grep -v '"type":"runtime_' > "$tmp/t$threads.det"
   done
   if ! cmp -s "$tmp/t1.det" "$tmp/t8.det"; then
-    echo "fault differential: metrics differ between --threads 1 and 8" >&2
+    echo "fault differential ($*): metrics differ between --threads 1 and 8" >&2
     diff "$tmp/t1.det" "$tmp/t8.det" | head >&2 || true
     rm -rf "$tmp"
     return 1
@@ -106,7 +107,11 @@ fault_differential() {
 }
 
 timed "fault differential (--threads 1 vs 8)" \
-  fault_differential
+  fault_differential --fault-links 0.08 --fault-mode transient --recovery resample
+# Per-hop drops under the drop-after-budget recovery, with furthest-to-go
+# scheduling (contention keys that order by remaining hops).
+timed "fault differential, drops + ftg (--threads 1 vs 8)" \
+  fault_differential --drop-prob 0.1 --recovery drop-after-budget --policy ftg
 
 # Live telemetry: a daemon under load must answer METRICS with a
 # parseable, conserving exposition on every scrape (`oblivion top
