@@ -15,13 +15,14 @@
 //!    record owned by exactly one shard — the shard of the link it waits
 //!    on — so each shard resolves link contention among its own records
 //!    and commits its winners with no shared packet state. A record whose
-//!    next link lies in another shard moves there by value, through that
-//!    shard's parity-buffered inbox, and is drained at the start of the
-//!    *next* step, in whatever order shards happened to finish —
-//!    harmless, because winner selection per link uses a totally ordered
-//!    key (policy priority, then packet id) and every reported metric is
-//!    an order-free aggregate. A delivered or dead-lettered record is
-//!    dropped, freeing its path.
+//!    next link lies in another shard moves there by value: into the
+//!    shard's outbox for that destination, which the step's end appends,
+//!    under one lock, to the destination's parity-buffered inbox, drained
+//!    at the start of the *next* step in whatever order shards happened
+//!    to finish — harmless, because winner selection per link uses a
+//!    totally ordered key (policy priority, then packet id) and every
+//!    reported metric is an order-free aggregate. A delivered or
+//!    dead-lettered record is dropped, freeing its path.
 //!
 //! Beside its records each shard keeps a **wait array**: per packet, the
 //! slot of the link it waits on and its contention key. A waiting
@@ -29,10 +30,10 @@
 //! and id move only when it advances or is resampled — so the key is
 //! computed when the packet joins the shard, advances or is resampled,
 //! and the contention scan reads only the wait array (a record only when
-//! a fault plan must check its link). Compaction after the commits visits
-//! only the packets that advanced, were resampled or were dead-lettered,
-//! highest index first, each `swap_remove` pulling in a packet already
-//! visited or unchanged.
+//! a fault plan must check its link). Compaction after the commits walks a
+//! bitset of the packets that advanced, were resampled or were
+//! dead-lettered, highest word and bit first, each `swap_remove` pulling
+//! in a packet already visited or unchanged.
 //!
 //! The result is byte-for-byte identical for any thread count — and
 //! [`OnlineSim::run`] is this engine at one thread, run inline: the pool
@@ -270,9 +271,11 @@ struct ShardState {
     /// `waits[r]` is `active[r].wait(..)`, refreshed whenever the packet
     /// joins the shard, advances or is resampled.
     waits: Vec<Wait>,
-    /// Indices into `active` of the packets that advanced, were resampled
-    /// or were dead-lettered this step: the only ones compaction visits.
-    changed: Vec<u32>,
+    /// Bitset over `active` of the packets that advanced, were resampled or
+    /// were dead-lettered this step, the only ones compaction visits.
+    changed: Vec<u64>,
+    /// Per destination shard, the packets handed to it this step.
+    outboxes: Vec<Vec<Packet>>,
     /// Per-slot link contention; winners are tagged with their index in
     /// `active`.
     contention: Contention,
@@ -291,11 +294,12 @@ struct ShardState {
 }
 
 impl ShardState {
-    fn new(slots: usize) -> Self {
+    fn new(slots: usize, shards: usize) -> Self {
         Self {
             active: Vec::new(),
             waits: Vec::new(),
             changed: Vec::new(),
+            outboxes: (0..shards).map(|_| Vec::new()).collect(),
             contention: Contention::new(slots),
             loads: vec![0; slots],
             latencies: Vec::new(),
@@ -318,7 +322,7 @@ impl ShardState {
 }
 
 /// Parity-buffered handoff inboxes, one pair per shard: step `t` drains
-/// `[s][t % 2]` while commits push into `[s][(t + 1) % 2]`.
+/// `[s][t % 2]` while outboxes are emptied into `[s][(t + 1) % 2]`.
 type Inboxes = [[Mutex<Vec<Packet>>; 2]];
 
 const ROUTE_PHASE: usize = 0;
@@ -353,7 +357,7 @@ pub(crate) fn run_sharded_ckpt(
     let shards: Vec<Mutex<ShardState>> = map
         .slots
         .iter()
-        .map(|&slots| Mutex::new(ShardState::new(slots)))
+        .map(|&slots| Mutex::new(ShardState::new(slots, shards_n)))
         .collect();
     let inboxes: Vec<[Mutex<Vec<Packet>>; 2]> = (0..shards_n)
         .map(|_| [Mutex::new(Vec::new()), Mutex::new(Vec::new())])
@@ -474,8 +478,9 @@ pub(crate) fn run_sharded_ckpt(
         Stepped,
     }
     let mut stage = Stage::Begin;
-    // Per-step phase timers. Inject spans Begin→Routed commit (draw +
-    // parallel routing), move spans the STEP phase + harvest.
+    // Per-step phase timers. Inject spans the draw and parallel routing,
+    // join the Routed stage's merge, numbering and joins, move the STEP
+    // phase + harvest.
     let mut timer = PhaseTimer::idle();
 
     let next = || -> bool {
@@ -520,22 +525,22 @@ pub(crate) fn run_sharded_ckpt(
                 Stage::Routed => {
                     // Number the routed injections in draw order
                     // (deterministic) and hand each to the shard of its
-                    // first edge, then run the step phase.
+                    // first edge, each shard locked once, then run the
+                    // step phase.
+                    timer.inject_done();
                     for out in &routed {
                         merged.append(&mut out.lock().unwrap());
                     }
                     merged.sort_unstable_by_key(|&(k, _)| k);
                     delivered_instant += pending.read().unwrap().len() - merged.len();
+                    let mut locked: Vec<_> = shards.iter().map(|s| s.lock().unwrap()).collect();
                     for (_, mut p) in merged.drain(..) {
                         p.id = next_id;
                         next_id += 1;
-                        shards[map.shard_of(p.edge())]
-                            .lock()
-                            .unwrap()
-                            .join(&map, policy, p);
+                        locked[map.shard_of(p.edge())].join(&map, policy, p);
                         alive += 1;
                     }
-                    timer.inject_done();
+                    timer.join_done();
                     phase.store(STEP_PHASE, Ordering::SeqCst);
                     cursor.store(0, Ordering::SeqCst);
                     stage = Stage::Stepped;
@@ -684,8 +689,9 @@ fn capture_sharded(
 /// pick the winner per link among the shard's packets from their cached
 /// waits, commit winners — advancing them, recording loads and latencies
 /// — and then compact: of the packets that changed this step, drop the
-/// finished ones, move each whose next link lies in another shard into
-/// that shard's next-parity inbox, and refresh the rest's waits.
+/// finished ones, move each whose next link lies in another shard to its
+/// outbox, and refresh the rest's waits; last, empty each outbox into
+/// that shard's next-parity inbox.
 #[allow(clippy::too_many_arguments)]
 fn step_shard(
     map: &ShardMap,
@@ -708,6 +714,7 @@ fn step_shard(
     for p in inboxes[s][(t % 2) as usize].lock().unwrap().drain(..) {
         st.join(map, policy, p);
     }
+    st.changed.resize(st.active.len().div_ceil(64), 0);
     // Contention scan over the cached waits. A packet whose next link is
     // down does not contend; its recovery decision runs here instead.
     let changed = &mut st.changed;
@@ -720,7 +727,7 @@ fn step_shard(
                 st.step_dead += u64::from(outcome == Adverse::DeadLetter);
                 st.step_resamples += u64::from(matches!(outcome, Adverse::Resample { .. }));
                 if outcome != Adverse::Hold {
-                    changed.push(r as u32);
+                    changed[r / 64] |= 1 << (r % 64);
                 }
                 continue;
             }
@@ -744,7 +751,7 @@ fn step_shard(
                 st.step_dead += u64::from(outcome == Adverse::DeadLetter);
                 st.step_resamples += u64::from(matches!(outcome, Adverse::Resample { .. }));
                 if outcome != Adverse::Hold {
-                    changed.push(won.at as u32);
+                    changed[won.at / 64] |= 1 << (won.at % 64);
                 }
                 continue; // no advance, no load
             }
@@ -758,31 +765,42 @@ fn step_shard(
             st.latencies.push(t + 1 - p.injected_at);
             st.step_delivered += 1;
         }
-        changed.push(won.at as u32);
+        changed[won.at / 64] |= 1 << (won.at % 64);
     }
-    // Compaction, highest index first so that each `swap_remove` pulls
-    // in a packet already visited or unchanged: finished packets are
-    // dropped, freeing their paths, a packet whose next link lies in
-    // another shard moves there by value, and the rest wait anew here.
-    changed.sort_unstable();
+    // Compaction over the changed bits, highest word and bit first so
+    // that each `swap_remove` pulls in a packet already visited or
+    // unchanged: finished packets are dropped, freeing their paths, a
+    // packet whose next link lies in another shard moves to that shard's
+    // outbox, and the rest wait anew here.
     let mut handoffs = 0u64;
-    for &r in changed.iter().rev() {
-        let r = r as usize;
-        let p = &st.active[r];
-        let dest = (!p.finished()).then(|| map.shard_of(p.edge()));
-        if dest == Some(s) {
-            st.waits[r] = p.wait(map, policy);
-            continue;
-        }
-        st.waits.swap_remove(r);
-        let p = st.active.swap_remove(r);
-        if let Some(s2) = dest {
-            handoffs += 1;
-            inboxes[s2][((t + 1) % 2) as usize].lock().unwrap().push(p);
+    for w in (0..changed.len()).rev() {
+        let mut bits = std::mem::take(&mut changed[w]);
+        while bits != 0 {
+            let b = 63 - bits.leading_zeros() as usize;
+            bits ^= 1 << b;
+            let r = w * 64 + b;
+            let p = &st.active[r];
+            let dest = (!p.finished()).then(|| map.shard_of(p.edge()));
+            if dest == Some(s) {
+                st.waits[r] = p.wait(map, policy);
+                continue;
+            }
+            st.waits.swap_remove(r);
+            let p = st.active.swap_remove(r);
+            if let Some(s2) = dest {
+                handoffs += 1;
+                st.outboxes[s2].push(p);
+            }
         }
     }
-    changed.clear();
     st.step_handoffs = handoffs;
+    // One inbox lock per destination shard.
+    let next = ((t + 1) % 2) as usize;
+    for (s2, out) in st.outboxes.iter_mut().enumerate() {
+        if !out.is_empty() {
+            inboxes[s2][next].lock().unwrap().append(out);
+        }
+    }
 }
 
 #[cfg(test)]

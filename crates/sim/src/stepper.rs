@@ -199,43 +199,44 @@ pub(crate) struct ShardFinale {
 /// the determinism contract). The timer is gated on observability so the
 /// uninstrumented hot path pays one relaxed load.
 pub(crate) struct PhaseTimer {
-    inject: Option<std::time::Instant>,
-    moving: Option<std::time::Instant>,
+    /// When the running phase started; `None` before the first step or
+    /// with observability off.
+    at: Option<std::time::Instant>,
 }
 
 impl PhaseTimer {
     /// A timer with no phase running (before the first step).
     pub(crate) fn idle() -> Self {
-        Self {
-            inject: None,
-            moving: None,
-        }
+        Self { at: None }
     }
 
     /// Starts timing the injection phase of a step.
     pub(crate) fn start(&mut self) {
-        self.inject = oblivion_obs::is_enabled().then(std::time::Instant::now);
-        self.moving = None;
+        self.at = oblivion_obs::is_enabled().then(std::time::Instant::now);
     }
 
-    /// Injection (draw + routing) done: record it, start the move phase.
+    /// Injection (draw + routing) done: record it, start the join phase.
     pub(crate) fn inject_done(&mut self) {
-        if let Some(started) = self.inject.take() {
-            oblivion_obs::record_runtime(
-                "online_phase_inject_us",
-                started.elapsed().as_micros() as u64,
-            );
-            self.moving = Some(std::time::Instant::now());
-        }
+        self.lap("online_phase_inject_us");
+    }
+
+    /// Join (merge, numbering, hand-off to shards) done: record it, start
+    /// the move phase.
+    pub(crate) fn join_done(&mut self) {
+        self.lap("online_phase_join_us");
     }
 
     /// Movement phase done: record it.
     pub(crate) fn move_done(&mut self) {
-        if let Some(started) = self.moving.take() {
-            oblivion_obs::record_runtime(
-                "online_phase_move_us",
-                started.elapsed().as_micros() as u64,
-            );
+        self.lap("online_phase_move_us");
+    }
+
+    /// Records the running phase under `name` and starts the next one.
+    fn lap(&mut self, name: &'static str) {
+        if let Some(started) = self.at {
+            let now = std::time::Instant::now();
+            oblivion_obs::record_runtime(name, (now - started).as_micros() as u64);
+            self.at = Some(now);
         }
     }
 }

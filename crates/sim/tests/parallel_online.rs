@@ -109,6 +109,22 @@ fn matches_oracle_under_saturation() {
 }
 
 #[test]
+fn matches_oracle_under_saturation_every_policy() {
+    // The saturated run under the keys that order by remaining hops or
+    // by random rank: each shard holds hundreds of packets, so its
+    // changed-packet bitset spans several 64-bit words.
+    let mesh = Mesh::new_mesh(&[8, 8]);
+    let pattern = UniformTraffic::new(mesh.clone());
+    for policy in [
+        SchedulingPolicy::FurthestToGo,
+        SchedulingPolicy::ClosestToGo,
+        SchedulingPolicy::RandomRank,
+    ] {
+        assert_equivalent(&mesh, policy, 0.8, &pattern, 80, 14);
+    }
+}
+
+#[test]
 fn link_load_totals_conserve_traffic() {
     // Fully drained run: every delivered packet of length L contributes
     // exactly L traversals, so total load equals total delivered hops in

@@ -112,6 +112,10 @@ timed "fault differential (--threads 1 vs 8)" \
 # scheduling (contention keys that order by remaining hops).
 timed "fault differential, drops + ftg (--threads 1 vs 8)" \
   fault_differential --drop-prob 0.1 --recovery drop-after-budget --policy ftg
+# No faults, random-rank scheduling: contention keys that order by a
+# per-packet random draw rather than by arrival or remaining hops.
+timed "fault differential, no faults + random-rank (--threads 1 vs 8)" \
+  fault_differential --policy random-rank
 
 # Live telemetry: a daemon under load must answer METRICS with a
 # parseable, conserving exposition on every scrape (`oblivion top
