@@ -4,7 +4,7 @@
 //! (2, 8, 32 closed-loop clients against 2 workers with 2 ms of
 //! simulated work) and reads back the per-phase latency histograms the
 //! server collects for every request: accept, queue-wait, parse,
-//! route-compute, reply-write.
+//! route-compute, reply-format, reply-write.
 //!
 //! The claim under test: overload shows up **only** in the queue-wait
 //! phase. Parse and route-compute are load-independent (they touch no
@@ -41,6 +41,7 @@ fn main() {
         "queue_wait p99 us",
         "parse p99 us",
         "route p99 us",
+        "format p99 us",
         "reply p99 us",
     ]);
     let mut rows: Vec<Json> = Vec::new();
@@ -102,6 +103,7 @@ fn main() {
             q(Phase::QueueWait, 0.99).to_string(),
             q(Phase::Parse, 0.99).to_string(),
             q(Phase::RouteCompute, 0.99).to_string(),
+            q(Phase::ReplyFormat, 0.99).to_string(),
             q(Phase::ReplyWrite, 0.99).to_string(),
         ]);
         queue_wait_p99.push(q(Phase::QueueWait, 0.99));

@@ -385,6 +385,14 @@ fn render_histogram(out: &mut String, h: &Json, label: &str) {
 }
 
 fn render_scalar(value: &Json) -> String {
+    if let Some(h) = histogram_from_json(value) {
+        return format!(
+            "count {}, p50 {}, p99 {}",
+            h.count,
+            h.quantile(0.50),
+            h.quantile(0.99)
+        );
+    }
     match value {
         Json::Str(s) => s.clone(),
         other => other.to_string(),

@@ -1201,6 +1201,7 @@ fn dispatch_burst<'a>(
         .record_phase(Phase::RouteCompute, elapsed_us(route_started));
     // Assemble the burst's replies in request order and write them with
     // one syscall.
+    let format_started = Instant::now();
     scratch.reply.clear();
     // completed, bad, deadline, drain, shed, unknown_mesh, mesh_retired
     let mut settled = [0u64; 7];
@@ -1230,6 +1231,8 @@ fn dispatch_burst<'a>(
             }
         }
     }
+    ctl.stats
+        .record_phase(Phase::ReplyFormat, elapsed_us(format_started));
     let write_started = Instant::now();
     let write_deadline = Instant::now() + cfg.deadline;
     let wrote = match chaos {

@@ -48,8 +48,8 @@ use std::sync::Mutex;
 /// its own histogram (microseconds). A phase observation covers at
 /// least one admitted request unit — per-connection phases (accept,
 /// queue wait) are recorded with the connection's first unit, per-burst
-/// phases (parse, route, write) once per non-empty burst — so every
-/// phase count is `<= accepted`.
+/// phases (parse, route, format, write) once per non-empty burst — so
+/// every phase count is `<= accepted`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Phase {
     /// Accept to enqueue: the acceptor's own handling time.
@@ -61,12 +61,14 @@ pub enum Phase {
     Parse,
     /// Selecting the path (including any simulated service time).
     RouteCompute,
+    /// Assembling the burst's reply lines.
+    ReplyFormat,
     /// Writing the reply bytes.
     ReplyWrite,
 }
 
 /// Number of request phases.
-pub const PHASE_COUNT: usize = 5;
+pub const PHASE_COUNT: usize = 6;
 
 impl Phase {
     /// Every phase, in hot-path order.
@@ -75,6 +77,7 @@ impl Phase {
         Phase::QueueWait,
         Phase::Parse,
         Phase::RouteCompute,
+        Phase::ReplyFormat,
         Phase::ReplyWrite,
     ];
 
@@ -85,13 +88,15 @@ impl Phase {
             Phase::QueueWait => "queue_wait",
             Phase::Parse => "parse",
             Phase::RouteCompute => "route_compute",
+            Phase::ReplyFormat => "reply_format",
             Phase::ReplyWrite => "reply_write",
         }
     }
 
     /// The phase's histogram series: `oblivion_serve_<series>` in
-    /// `METRICS`, the `<series>` key of a `serve_stats` line.
-    pub(crate) fn series(self) -> String {
+    /// `METRICS`, the `<series>` key of a `serve_stats` line and of the
+    /// `serve` run report.
+    pub fn series(self) -> String {
         format!("phase_{}_us", self.name())
     }
 }
@@ -201,6 +206,17 @@ struct Ledger {
     phases: [Histogram; PHASE_COUNT],
 }
 
+impl Ledger {
+    /// Tenant `id`'s ledger row, created on its first use: the key is
+    /// allocated once per tenant, not once per call.
+    fn tenant(&mut self, id: &str) -> &mut TenantLedger {
+        if !self.tenants.contains_key(id) {
+            self.tenants.insert(id.to_string(), TenantLedger::default());
+        }
+        self.tenants.get_mut(id).expect("inserted above") // ci-allow-unwrap: the row was just inserted
+    }
+}
+
 /// Live request accounting (see module docs for the conservation law).
 #[derive(Default)]
 pub struct ServeStats {
@@ -305,7 +321,7 @@ impl ServeStats {
             return;
         }
         let mut l = self.lock();
-        let t = l.tenants.entry(id.to_string()).or_default();
+        let t = l.tenant(id);
         t.accepted += n;
         t.in_flight += n as i64;
     }
@@ -323,7 +339,7 @@ impl ServeStats {
             return;
         }
         let mut l = self.lock();
-        let t = l.tenants.entry(id.to_string()).or_default();
+        let t = l.tenant(id);
         t.buckets[bucket] += n;
         t.in_flight -= n as i64;
     }
@@ -336,7 +352,7 @@ impl ServeStats {
             return;
         }
         let mut l = self.lock();
-        let t = l.tenants.entry(id.to_string()).or_default();
+        let t = l.tenant(id);
         t.accepted += n;
         t.buckets[Counter::MeshRetired.tenant_index().unwrap_or(0)] += n;
     }
@@ -347,7 +363,7 @@ impl ServeStats {
     /// shows in `METRICS`.
     pub fn set_tenant_state_bytes(&self, id: &str, bytes: u64) {
         let mut l = self.lock();
-        l.tenants.entry(id.to_string()).or_default().state_bytes = bytes;
+        l.tenant(id).state_bytes = bytes;
     }
 
     /// A probe answered on the health listener (outside the law).
@@ -892,6 +908,7 @@ mod tests {
         s.record_phase(Phase::QueueWait, 15);
         s.record_phase(Phase::Parse, 3);
         s.record_phase(Phase::RouteCompute, 40);
+        s.record_phase(Phase::ReplyFormat, 1);
         s.record_phase(Phase::ReplyWrite, 5);
         let snap = s.snapshot();
         assert_eq!(snap.check(), Ok(()));

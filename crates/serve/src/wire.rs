@@ -174,44 +174,130 @@ pub enum Response {
 /// Bytes of the widest coordinate in wire form, plus one separator.
 const COORD_BYTES: usize = 1 + MAX_DIM * 11;
 
+/// Values below this have their digits in [`DIGITS`].
+const DIGIT_TABLE_LEN: usize = 10_000;
+
+/// The decimal digits of every value below [`DIGIT_TABLE_LEN`],
+/// left-aligned in four bytes. Built at compile time, so it costs no
+/// start-up work and holds no per-mesh state.
+static DIGITS: [[u8; 4]; DIGIT_TABLE_LEN] = digit_table();
+
+const fn digit_table() -> [[u8; 4]; DIGIT_TABLE_LEN] {
+    let mut table = [[b'0'; 4]; DIGIT_TABLE_LEN];
+    let mut x = 0;
+    while x < DIGIT_TABLE_LEN {
+        put_digits(&mut table[x], 0, x as u64);
+        x += 1;
+    }
+    table
+}
+
+/// Number of decimal digits of `x`: three comparisons below 10,000.
+#[inline]
+const fn decimal_len(x: u64) -> usize {
+    if x < DIGIT_TABLE_LEN as u64 {
+        1 + (x >= 10) as usize + (x >= 100) as usize + (x >= 1000) as usize
+    } else {
+        x.ilog10() as usize + 1
+    }
+}
+
 /// Writes the decimal digits of `x` by hand into `buf` at `at` and
 /// returns the end: no `fmt` machinery, no allocation.
 #[inline]
-fn put_digits(buf: &mut [u8], at: usize, x: u64) -> usize {
-    let end = at + x.checked_ilog10().unwrap_or(0) as usize + 1;
-    let mut rest = x;
-    for digit in buf[at..end].iter_mut().rev() {
-        *digit = b'0' + (rest % 10) as u8;
+const fn put_digits(buf: &mut [u8], at: usize, x: u64) -> usize {
+    let end = at + decimal_len(x);
+    let (mut i, mut rest) = (end, x);
+    while i > at {
+        i -= 1;
+        buf[i] = b'0' + (rest % 10) as u8;
         rest /= 10;
     }
     end
 }
 
-/// Writes the first `dim` components of `c`, comma-separated, into `buf`
-/// at `at` and returns the end.
+/// The one decimal writer of the wire: writes `x` into `buf` at `at`
+/// and returns the end. A value below [`DIGIT_TABLE_LEN`] is one
+/// four-byte copy from [`DIGITS`] (`buf` needs room for all four;
+/// bytes past the returned end are scratch); larger values fall back to
+/// [`put_digits`].
 #[inline]
-fn put_coord(buf: &mut [u8; COORD_BYTES], at: usize, c: &Coord, dim: usize) -> usize {
-    let mut end = at;
-    for (i, &x) in c.as_slice()[..dim].iter().enumerate() {
-        if i > 0 {
-            buf[end] = b',';
-            end += 1;
-        }
-        end = put_digits(buf, end, u64::from(x));
+fn put_decimal(buf: &mut [u8], at: usize, x: u64) -> usize {
+    if x < DIGIT_TABLE_LEN as u64 {
+        buf[at..at + 4].copy_from_slice(&DIGITS[x as usize]);
+        at + decimal_len(x)
+    } else {
+        put_digits(buf, at, x)
     }
-    end
 }
 
-fn push_ascii(out: &mut String, bytes: &[u8]) {
-    let ascii = std::str::from_utf8(bytes);
-    out.push_str(ascii.expect("digits and commas")); // ci-allow-unwrap: only ASCII is written
+/// Bytes a [`LineChunk`] gathers before handing them to its `String`.
+const CHUNK_BYTES: usize = 512;
+
+/// Line bytes gathered in a stack buffer and appended to a `String` a
+/// chunk at a time: one UTF-8 check per chunk instead of one per hop.
+/// Only ASCII digits and separators are written into it.
+struct LineChunk<'a> {
+    out: &'a mut String,
+    buf: [u8; CHUNK_BYTES],
+    len: usize,
 }
 
-/// Appends a coordinate in wire form: `3,4` (no parentheses).
-fn push_coord(out: &mut String, c: &Coord, dim: usize) {
-    let mut buf = [0u8; COORD_BYTES];
-    let end = put_coord(&mut buf, 0, c, dim);
-    push_ascii(out, &buf[..end]);
+impl<'a> LineChunk<'a> {
+    fn new(out: &'a mut String) -> Self {
+        Self {
+            out,
+            buf: [0; CHUNK_BYTES],
+            len: 0,
+        }
+    }
+
+    /// Flushes first unless `n` more bytes fit.
+    #[inline]
+    fn room(&mut self, n: usize) {
+        if self.len + n > CHUNK_BYTES {
+            self.flush();
+        }
+    }
+
+    /// Appends `sep` and then the first `dim` components of `c`,
+    /// comma-separated: ` 3,4` for a hop.
+    #[inline]
+    fn coord(&mut self, sep: u8, c: &Coord, dim: usize) {
+        self.room(COORD_BYTES);
+        let buf = &mut self.buf;
+        let mut at = self.len;
+        buf[at] = sep;
+        at += 1;
+        if let Some((&first, rest)) = c.as_slice()[..dim].split_first() {
+            at = put_decimal(buf, at, u64::from(first));
+            for &x in rest {
+                buf[at] = b',';
+                at = put_decimal(buf, at + 1, u64::from(x));
+            }
+        }
+        self.len = at;
+    }
+
+    /// Appends one ASCII byte.
+    fn byte(&mut self, b: u8) {
+        self.room(1);
+        self.buf[self.len] = b;
+        self.len += 1;
+    }
+
+    /// Appends the decimal digits of `x`.
+    fn decimal(&mut self, x: u64) {
+        self.room(20);
+        self.len = put_decimal(&mut self.buf, self.len, x);
+    }
+
+    /// Appends the gathered bytes to the `String`.
+    fn flush(&mut self) {
+        let ascii = std::str::from_utf8(&self.buf[..self.len]);
+        self.out.push_str(ascii.expect("digits and separators")); // ci-allow-unwrap: only ASCII is written
+        self.len = 0;
+    }
 }
 
 /// Appends a `PATH <seed> <src> <dst> [id=<id>]` request line, LF
@@ -225,13 +311,11 @@ pub fn push_path_request(
     id: Option<&str>,
 ) {
     out.push_str("PATH ");
-    let mut buf = [0u8; 20];
-    let end = put_digits(&mut buf, 0, seed);
-    push_ascii(out, &buf[..end]);
-    out.push(' ');
-    push_coord(out, src, dim);
-    out.push(' ');
-    push_coord(out, dst, dim);
+    let mut chunk = LineChunk::new(out);
+    chunk.decimal(seed);
+    chunk.coord(b' ', src, dim);
+    chunk.coord(b' ', dst, dim);
+    chunk.flush();
     if let Some(id) = id {
         out.push_str(" id=");
         out.push_str(id);
@@ -242,7 +326,10 @@ pub fn push_path_request(
 /// Formats a coordinate for the wire: `3,4` (no parentheses).
 pub fn format_coord(c: &Coord, dim: usize) -> String {
     let mut s = String::new();
-    push_coord(&mut s, c, dim);
+    let mut chunk = LineChunk::new(&mut s);
+    chunk.coord(b' ', c, dim);
+    chunk.flush();
+    s.remove(0); // the hop separator
     s
 }
 
@@ -369,20 +456,20 @@ pub fn format_path_line(path: &Path, dim: usize) -> String {
 /// <hops...>`). With `None` the bytes are identical to the pre-ID wire
 /// format. One allocation: the line is measured before it is written.
 pub fn format_path_line_with_id(path: &Path, dim: usize, id: Option<&str>) -> String {
-    let digits = |x: u32| x.checked_ilog10().unwrap_or(0) as usize + 1;
     let hops: usize = path
         .nodes()
         .iter()
         .flat_map(|hop| &hop.as_slice()[..dim])
-        .map(|&x| digits(x) + 1)
+        .map(|&x| decimal_len(u64::from(x)) + 1)
         .sum();
     let mut s = String::with_capacity(3 + id.map_or(0, |id| 4 + id.len()) + hops);
     push_path_line(&mut s, path, dim, id);
     s
 }
 
-/// Appends the `OK` line of [`format_path_line_with_id`] to `out`, digits
-/// written by hand: into a warmed buffer (a worker's burst reply) this
+/// Appends the `OK` line of [`format_path_line_with_id`] to `out`: the
+/// hops' digits are copied from a compile-time table into a stack
+/// chunk, so into a warmed buffer (a worker's burst reply) this
 /// allocates nothing.
 pub fn push_path_line(out: &mut String, path: &Path, dim: usize, id: Option<&str>) {
     out.push_str("OK");
@@ -390,12 +477,12 @@ pub fn push_path_line(out: &mut String, path: &Path, dim: usize, id: Option<&str
         out.push_str(" id=");
         out.push_str(id);
     }
-    let mut buf = [b' '; COORD_BYTES];
+    let mut chunk = LineChunk::new(out);
     for hop in path.nodes() {
-        let end = put_coord(&mut buf, 1, hop, dim);
-        push_ascii(out, &buf[..end]);
+        chunk.coord(b' ', hop, dim);
     }
-    out.push('\n');
+    chunk.byte(b'\n');
+    chunk.flush();
 }
 
 /// Formats an `ERR` line; `detail` is appended for `BAD_REQUEST`.

@@ -37,6 +37,7 @@ fn golden_script() -> ServeStats {
     s.record_phase(Phase::Parse, 0);
     s.record_phase(Phase::RouteCompute, 180);
     s.record_phase(Phase::RouteCompute, 900);
+    s.record_phase(Phase::ReplyFormat, 12);
     s.record_phase(Phase::ReplyWrite, 6);
     s.tenant_admit("a", 4);
     s.tenant_settle("a", Counter::Completed, 3);

@@ -5,7 +5,7 @@
 
 use oblivion_core::BuschD;
 use oblivion_mesh::Mesh;
-use oblivion_serve::{Control, ServeConfig};
+use oblivion_serve::{Control, Phase, ServeConfig};
 use std::io::{Read as _, Write as _};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
@@ -256,5 +256,56 @@ fn drain_rejects_the_unconsumed_tail_of_a_pipeline() {
             4,
             "every pipelined unit settled typed: {s:?}"
         );
+    });
+}
+
+#[test]
+fn every_burst_times_its_reply_formatting_once() {
+    let mesh = Mesh::new_mesh(&[8, 8]);
+    let router = BuschD::new(mesh.clone());
+    let cfg = ServeConfig {
+        port: 0,
+        health_port: None,
+        threads: 1,
+        announce: false,
+        ..ServeConfig::default()
+    };
+    let ctl = Control::new();
+    std::thread::scope(|scope| {
+        let server = scope.spawn(|| oblivion_serve::run(&router, &cfg, &ctl));
+        let addr = ctl.wait_addr(Duration::from_secs(5)).expect("no bind");
+        let stream = TcpStream::connect_timeout(&addr, Duration::from_secs(5)).expect("connect");
+        stream.set_nodelay(true).expect("nodelay");
+
+        // Several pipelined bursts in lock step, each answered before
+        // the next goes out.
+        for burst in 0..4u64 {
+            let mut lines = String::new();
+            for i in 0..16 {
+                let seed = burst * 16 + i;
+                lines.push_str(&format!(
+                    "PATH {seed} 0,{} 7,{} id=f-{seed}\n",
+                    i % 8,
+                    7 - i % 8
+                ));
+            }
+            (&stream).write_all(lines.as_bytes()).expect("write");
+            let replies = read_lines(&stream, 16, Instant::now() + Duration::from_secs(5));
+            assert_eq!(replies.len(), 16, "burst {burst}: {replies:?}");
+            for (i, reply) in replies.iter().enumerate() {
+                let id = burst * 16 + i as u64;
+                assert!(reply.starts_with(&format!("OK id=f-{id} ")), "{reply:?}");
+            }
+        }
+
+        drop(stream);
+        ctl.request_shutdown();
+        let summary = server.join().expect("server panicked").expect("run failed");
+        let s = summary.stats;
+        assert!(s.conserved(), "{s:?}");
+        assert_eq!(s.completed, 64, "{s:?}");
+        let routed = s.phase(Phase::RouteCompute).count;
+        assert!(routed >= 4, "{s:?}");
+        assert_eq!(s.phase(Phase::ReplyFormat).count, routed, "{s:?}");
     });
 }

@@ -199,6 +199,19 @@ metrics_gate() {
     rm -rf "$tmp"
     return 1
   fi
+  # The live binary times reply assembly: the final report carries a
+  # reply_format phase histogram with samples in it.
+  local formatted
+  formatted=$(grep '"type":"report"' "$tmp/telemetry.jsonl" | tail -1 \
+    | grep -o '"phase_reply_format_us":{"type":"histogram","name":"reply_format","count":[0-9]*' \
+    | grep -o '[0-9]*$' || true)
+  if [[ -z "$formatted" || "$formatted" == 0 ]]; then
+    echo "metrics gate: the final report has no reply_format phase samples" \
+      "(count=${formatted:-missing})" >&2
+    grep '"type":"report"' "$tmp/telemetry.jsonl" | tail -1 >&2
+    rm -rf "$tmp"
+    return 1
+  fi
   rm -rf "$tmp"
 }
 

@@ -1350,6 +1350,12 @@ fn cmd_serve(args: &Args) -> Result<String, String> {
     for series in &oblivion_serve::stats::SERIES {
         report_field(&format!("serve_{}", series.name), (series.get)(s));
     }
+    for phase in oblivion_serve::stats::Phase::ALL {
+        report_field(
+            &phase.series(),
+            oblivion_obs::histogram_json("histogram", phase.name(), s.phase(phase)),
+        );
+    }
     report_field(
         "serve_counters_conserved",
         if s.conserved() { 1u64 } else { 0 },

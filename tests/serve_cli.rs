@@ -262,6 +262,7 @@ fn metrics_scrape_top_and_flusher_lifecycle() {
     assert_eq!(code, Some(0), "{stdout}");
     assert!(stdout.contains("counters conserve: yes"), "{stdout}");
     assert!(stdout.contains("phase route_compute"), "{stdout}");
+    assert!(stdout.contains("phase reply_format"), "{stdout}");
 
     // The metrics file carries both halves: the flusher's serve_stats
     // stream (crash-durable) and the appended final report.
@@ -276,6 +277,14 @@ fn metrics_scrape_top_and_flusher_lifecycle() {
         "final report missing (append clobbered?):\n{doc}"
     );
     assert!(doc.contains("\"serve_accepted\""), "{doc}");
+    let report = doc
+        .lines()
+        .rfind(|l| l.starts_with("{\"type\":\"report\""))
+        .unwrap_or_default();
+    assert!(
+        report.contains("\"phase_reply_format_us\":{\"type\":\"histogram\""),
+        "the report carries the phase histograms: {report}"
+    );
 
     // And `oblivion stats` renders the mixed document.
     let stats = oblivion()
@@ -290,6 +299,12 @@ fn metrics_scrape_top_and_flusher_lifecycle() {
         String::from_utf8_lossy(&stats.stderr)
     );
     assert!(stats_out.contains("serve_accepted"), "{stats_out}");
+    assert!(
+        stats_out
+            .lines()
+            .any(|l| l.trim_start().starts_with("phase_reply_format_us") && l.contains(" count ")),
+        "{stats_out}"
+    );
     let _ = std::fs::remove_file(&metrics);
 }
 
