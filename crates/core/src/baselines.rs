@@ -14,10 +14,10 @@
 //!   but no bridges, so nearby pairs straddling a high cut climb to the
 //!   root: stretch `Θ(n^{1/d}/dist)` — the pathology the paper fixes.
 
-use crate::chain::{select, walk_chain};
+use crate::chain::{self, walk_chain, Blocks, Walker};
 use crate::randbits::BitMeter;
-use crate::router::{ObliviousRouter, RoutedPath};
-use crate::subpath::extend_dim_by_dim;
+use crate::router::{IdBatch, ObliviousRouter, PathQuery, RoutedPath};
+use crate::subpath::IdWalk;
 use oblivion_mesh::{Coord, Mesh, Submesh};
 use rand::RngCore;
 
@@ -58,11 +58,28 @@ impl ObliviousRouter for DimOrder {
     }
 
     fn select_path(&self, s: &Coord, t: &Coord, rng: &mut dyn RngCore) -> RoutedPath {
-        select(rng, false, |sc, _| {
-            let mut cur = *s;
-            sc.walk.push(cur);
-            extend_dim_by_dim(&self.mesh, &mut cur, t, &self.order, &mut sc.walk);
-        })
+        chain::select_path(self, s, t, rng)
+    }
+
+    fn route_ids(&self, queries: &[PathQuery], out: &mut IdBatch) {
+        chain::route_ids(self, queries, out)
+    }
+}
+
+impl Walker for DimOrder {
+    fn cuts_cycles(&self) -> bool {
+        false
+    }
+
+    fn walk(
+        &self,
+        s: &Coord,
+        t: &Coord,
+        _blocks: &mut Blocks,
+        _meter: &mut BitMeter<'_>,
+        walk: &mut Vec<u32>,
+    ) {
+        IdWalk::start(&self.mesh, s, walk).to(t, &self.order, walk);
     }
 }
 
@@ -89,13 +106,30 @@ impl ObliviousRouter for RandomDimOrder {
     }
 
     fn select_path(&self, s: &Coord, t: &Coord, rng: &mut dyn RngCore) -> RoutedPath {
+        chain::select_path(self, s, t, rng)
+    }
+
+    fn route_ids(&self, queries: &[PathQuery], out: &mut IdBatch) {
+        chain::route_ids(self, queries, out)
+    }
+}
+
+impl Walker for RandomDimOrder {
+    fn cuts_cycles(&self) -> bool {
+        false
+    }
+
+    fn walk(
+        &self,
+        s: &Coord,
+        t: &Coord,
+        _blocks: &mut Blocks,
+        meter: &mut BitMeter<'_>,
+        walk: &mut Vec<u32>,
+    ) {
         let d = self.mesh.dim();
-        select(rng, false, |sc, meter| {
-            let order = meter.dim_order(d);
-            let mut cur = *s;
-            sc.walk.push(cur);
-            extend_dim_by_dim(&self.mesh, &mut cur, t, &order[..d], &mut sc.walk);
-        })
+        let order = meter.dim_order(d);
+        IdWalk::start(&self.mesh, s, walk).to(t, &order[..d], walk);
     }
 }
 
@@ -133,14 +167,32 @@ impl ObliviousRouter for Valiant {
     }
 
     fn select_path(&self, s: &Coord, t: &Coord, rng: &mut dyn RngCore) -> RoutedPath {
-        let whole = Submesh::whole(&self.mesh);
-        select(rng, self.remove_cycles, |sc, meter| {
-            two_legs(&self.mesh, s, t, &whole, meter, &mut sc.walk);
-        })
+        chain::select_path(self, s, t, rng)
+    }
+
+    fn route_ids(&self, queries: &[PathQuery], out: &mut IdBatch) {
+        chain::route_ids(self, queries, out)
     }
 }
 
-/// Pushes the two-leg walk `s → w → t` onto `walk`, for a uniform
+impl Walker for Valiant {
+    fn cuts_cycles(&self) -> bool {
+        self.remove_cycles
+    }
+
+    fn walk(
+        &self,
+        s: &Coord,
+        t: &Coord,
+        _blocks: &mut Blocks,
+        meter: &mut BitMeter<'_>,
+        walk: &mut Vec<u32>,
+    ) {
+        two_legs(&self.mesh, s, t, &Submesh::whole(&self.mesh), meter, walk);
+    }
+}
+
+/// Pushes the two-leg id walk `s → w → t` onto `walk`, for a uniform
 /// way-point `w` of `box_`, each leg dimension-ordered under its own
 /// random axis order (Valiant with the whole mesh, ROMM with the
 /// bounding box). A trivial pair draws no bits.
@@ -150,18 +202,17 @@ pub(crate) fn two_legs(
     t: &Coord,
     box_: &Submesh,
     meter: &mut BitMeter<'_>,
-    walk: &mut Vec<Coord>,
+    walk: &mut Vec<u32>,
 ) {
-    walk.push(*s);
+    let mut ids = IdWalk::start(mesh, s, walk);
     if s == t {
         return;
     }
     let d = mesh.dim();
     let w = meter.uniform_node(box_);
-    let mut cur = *s;
     for to in [&w, t] {
         let order = meter.dim_order(d);
-        extend_dim_by_dim(mesh, &mut cur, to, &order[..d], walk);
+        ids.to(to, &order[..d], walk);
     }
 }
 
@@ -243,10 +294,29 @@ impl ObliviousRouter for AccessTree {
     }
 
     fn select_path(&self, s: &Coord, t: &Coord, rng: &mut dyn RngCore) -> RoutedPath {
-        select(rng, self.remove_cycles, |sc, meter| {
-            self.chain_into(s, t, &mut sc.chain);
-            walk_chain(&self.mesh, &sc.chain, self.mode, meter, None, &mut sc.walk);
-        })
+        chain::select_path(self, s, t, rng)
+    }
+
+    fn route_ids(&self, queries: &[PathQuery], out: &mut IdBatch) {
+        chain::route_ids(self, queries, out)
+    }
+}
+
+impl Walker for AccessTree {
+    fn cuts_cycles(&self) -> bool {
+        self.remove_cycles
+    }
+
+    fn walk(
+        &self,
+        s: &Coord,
+        t: &Coord,
+        blocks: &mut Blocks,
+        meter: &mut BitMeter<'_>,
+        walk: &mut Vec<u32>,
+    ) {
+        self.chain_into(s, t, &mut blocks.chain);
+        walk_chain(&self.mesh, &blocks.chain, self.mode, meter, None, walk);
     }
 }
 

@@ -11,8 +11,9 @@
 //! * congestion `O(C* log n)` w.h.p. for every routing problem
 //!   (Theorem 3.9).
 
-use crate::chain::{select, walk_chain, RandomnessMode};
-use crate::router::{ObliviousRouter, RoutedPath};
+use crate::chain::{self, walk_chain, Blocks, RandomnessMode, Walker};
+use crate::randbits::BitMeter;
+use crate::router::{IdBatch, ObliviousRouter, PathQuery, RoutedPath};
 use oblivion_decomp::Decomp2;
 use oblivion_mesh::{Coord, Mesh, Submesh};
 use rand::RngCore;
@@ -112,10 +113,29 @@ impl ObliviousRouter for Busch2D {
     }
 
     fn select_path(&self, s: &Coord, t: &Coord, rng: &mut dyn RngCore) -> RoutedPath {
-        select(rng, self.remove_cycles, |sc, meter| {
-            self.chain_into(s, t, &mut sc.chain);
-            walk_chain(&self.mesh, &sc.chain, self.mode, meter, None, &mut sc.walk);
-        })
+        chain::select_path(self, s, t, rng)
+    }
+
+    fn route_ids(&self, queries: &[PathQuery], out: &mut IdBatch) {
+        chain::route_ids(self, queries, out)
+    }
+}
+
+impl Walker for Busch2D {
+    fn cuts_cycles(&self) -> bool {
+        self.remove_cycles
+    }
+
+    fn walk(
+        &self,
+        s: &Coord,
+        t: &Coord,
+        blocks: &mut Blocks,
+        meter: &mut BitMeter<'_>,
+        walk: &mut Vec<u32>,
+    ) {
+        self.chain_into(s, t, &mut blocks.chain);
+        walk_chain(&self.mesh, &blocks.chain, self.mode, meter, None, walk);
     }
 }
 

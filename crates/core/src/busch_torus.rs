@@ -7,8 +7,9 @@
 //! pathologies — the pair `(0, …)` / `(2^k−1, …)` is adjacent and gets an
 //! `O(d)`-side bridge like any other neighbor pair.
 
-use crate::chain::{select, walk_chain};
-use crate::router::{ObliviousRouter, RoutedPath};
+use crate::chain::{self, walk_chain, Blocks, Walker};
+use crate::randbits::BitMeter;
+use crate::router::{IdBatch, ObliviousRouter, PathQuery, RoutedPath};
 use crate::RandomnessMode;
 use oblivion_decomp::{TorusBlock, TorusDecomp};
 use oblivion_mesh::{Coord, Mesh};
@@ -89,17 +90,36 @@ impl ObliviousRouter for BuschTorus {
     }
 
     fn select_path(&self, s: &Coord, t: &Coord, rng: &mut dyn RngCore) -> RoutedPath {
-        select(rng, self.remove_cycles, |sc, meter| {
-            self.chain_into(s, t, &mut sc.torus_chain);
-            walk_chain(
-                &self.mesh,
-                &sc.torus_chain,
-                self.mode,
-                meter,
-                None,
-                &mut sc.walk,
-            );
-        })
+        chain::select_path(self, s, t, rng)
+    }
+
+    fn route_ids(&self, queries: &[PathQuery], out: &mut IdBatch) {
+        chain::route_ids(self, queries, out)
+    }
+}
+
+impl Walker for BuschTorus {
+    fn cuts_cycles(&self) -> bool {
+        self.remove_cycles
+    }
+
+    fn walk(
+        &self,
+        s: &Coord,
+        t: &Coord,
+        blocks: &mut Blocks,
+        meter: &mut BitMeter<'_>,
+        walk: &mut Vec<u32>,
+    ) {
+        self.chain_into(s, t, &mut blocks.torus_chain);
+        walk_chain(
+            &self.mesh,
+            &blocks.torus_chain,
+            self.mode,
+            meter,
+            None,
+            walk,
+        );
     }
 }
 

@@ -10,8 +10,9 @@
 //! * congestion `O(d² C* log n)` w.h.p. (Theorem 4.3);
 //! * `O(d log(D'd))` random bits per packet in recycled mode (Lemma 5.4).
 
-use crate::chain::{select, walk_chain, RandomnessMode};
-use crate::router::{ObliviousRouter, RoutedPath};
+use crate::chain::{self, walk_chain, Blocks, RandomnessMode, Walker};
+use crate::randbits::BitMeter;
+use crate::router::{IdBatch, ObliviousRouter, PathQuery, RoutedPath};
 use oblivion_decomp::DecompD;
 use oblivion_mesh::{Coord, Mesh, Submesh};
 use rand::RngCore;
@@ -128,10 +129,29 @@ impl ObliviousRouter for BuschD {
     }
 
     fn select_path(&self, s: &Coord, t: &Coord, rng: &mut dyn RngCore) -> RoutedPath {
-        select(rng, self.remove_cycles, |sc, meter| {
-            self.chain_into(s, t, &mut sc.chain);
-            walk_chain(&self.mesh, &sc.chain, self.mode, meter, None, &mut sc.walk);
-        })
+        chain::select_path(self, s, t, rng)
+    }
+
+    fn route_ids(&self, queries: &[PathQuery], out: &mut IdBatch) {
+        chain::route_ids(self, queries, out)
+    }
+}
+
+impl Walker for BuschD {
+    fn cuts_cycles(&self) -> bool {
+        self.remove_cycles
+    }
+
+    fn walk(
+        &self,
+        s: &Coord,
+        t: &Coord,
+        blocks: &mut Blocks,
+        meter: &mut BitMeter<'_>,
+        walk: &mut Vec<u32>,
+    ) {
+        self.chain_into(s, t, &mut blocks.chain);
+        walk_chain(&self.mesh, &blocks.chain, self.mode, meter, None, walk);
     }
 }
 

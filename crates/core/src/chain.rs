@@ -14,13 +14,27 @@
 //!   path; two *donor* nodes drawn once at the widest block, whose
 //!   coordinate bits are sliced (alternating donors along the chain) to
 //!   produce the intermediate nodes: `O(d log(D'd))` bits, Lemma 5.4.
+//!
+//! The walk is taken in node ids: [`Mesh::node_id`] as a `u32`, four
+//! bytes per node where a [`Coord`] takes 36. Each axis run of a
+//! subpath adds `±stride` per hop (on a torus, a wrap hop adds
+//! `∓(m − 1)·stride`), the one [`CycleTable`] cuts the walk's cycles
+//! keyed by id, and the cut walk then goes to one of two consumers:
+//!
+//! * `select_path` (and so `route_batch`) decodes it into a [`Path`]
+//!   with a running coordinate: one compare and one add per hop, no
+//!   division ([`oblivion_mesh::decode_ids`]);
+//! * `route_ids` leaves it in an [`IdBatch`], one flat id buffer with
+//!   one span per query, which the server's reply writer decodes hop by
+//!   hop straight into the reply line: no `Path` is built at all.
 
 use crate::randbits::{BitMeter, DonorNode};
-use crate::router::RoutedPath;
-use crate::subpath::extend_dim_by_dim;
+use crate::router::{IdBatch, ObliviousRouter, PathQuery, RoutedPath};
+use crate::subpath::IdWalk;
 use oblivion_decomp::TorusBlock;
 use oblivion_mesh::{Coord, CycleTable, Mesh, Path, Submesh, MAX_DIM};
-use rand::RngCore;
+use rand::rngs::StdRng;
+use rand::{RngCore, SeedableRng};
 use std::cell::Cell;
 
 /// Randomness discipline for the hierarchical routers (Section 5.3).
@@ -33,45 +47,103 @@ pub enum RandomnessMode {
     Recycled,
 }
 
-/// The buffers one path selection reuses: the block chain, the raw walk
-/// and the cycle-removal table.
+/// The block-chain buffers a router's walk reuses.
 #[derive(Debug, Default)]
-pub(crate) struct RouteScratch {
+pub(crate) struct Blocks {
     pub(crate) chain: Vec<Submesh>,
     pub(crate) torus_chain: Vec<TorusBlock>,
-    pub(crate) walk: Vec<Coord>,
-    cycles: CycleTable,
+}
+
+/// The buffers one path selection reuses: the block chain, the raw id
+/// walk and the id-keyed cycle-removal table.
+#[derive(Debug, Default)]
+struct RouteScratch {
+    blocks: Blocks,
+    walk: Vec<u32>,
+    cycles: CycleTable<u32>,
 }
 
 thread_local! {
     static SCRATCH: Cell<RouteScratch> = Cell::default();
 }
 
-/// The path-selection body every router shares. `fill` pushes the raw
-/// walk (source first) into `scratch.walk`, drawing its bits from the
-/// meter; the walk's cycles are cut in place when `remove_cycles`, and
-/// the path is copied out once, at its exact length. The scratch is the
-/// calling thread's, so after warm-up that copy is the only allocation.
-pub(crate) fn select(
-    rng: &mut dyn RngCore,
-    remove_cycles: bool,
-    fill: impl FnOnce(&mut RouteScratch, &mut BitMeter<'_>),
-) -> RoutedPath {
-    // Taken out for the call (a selection nested inside another one
-    // starts from empty buffers) and put back after it.
+/// What a router adds to the shared selection bodies below: its raw walk.
+pub(crate) trait Walker: ObliviousRouter {
+    /// Whether the raw walk's cycles are cut.
+    fn cuts_cycles(&self) -> bool;
+
+    /// Pushes the raw id walk from `s` to `t` (source first) onto `walk`,
+    /// drawing its bits from the meter.
+    fn walk(
+        &self,
+        s: &Coord,
+        t: &Coord,
+        blocks: &mut Blocks,
+        meter: &mut BitMeter<'_>,
+        walk: &mut Vec<u32>,
+    );
+}
+
+/// Runs `f` on the calling thread's route scratch: taken out for the
+/// call (a selection nested inside another one starts from empty
+/// buffers) and put back after it.
+fn with_scratch<T>(f: impl FnOnce(&mut RouteScratch) -> T) -> T {
     let mut sc = SCRATCH.take();
-    sc.walk.clear();
-    let mut meter = BitMeter::new(rng);
-    fill(&mut sc, &mut meter);
-    if remove_cycles {
-        sc.cycles.remove_cycles(&mut sc.walk);
-    }
-    let path = Path::new_unchecked(sc.walk.to_vec());
+    let out = f(&mut sc);
     SCRATCH.set(sc);
-    RoutedPath {
-        path,
-        random_bits: meter.bits_used(),
+    out
+}
+
+/// Appends the cycle-cut id walk of `(s, t)` to `walk` and returns the
+/// random bits it drew.
+fn walk_ids<W: Walker + ?Sized>(
+    router: &W,
+    s: &Coord,
+    t: &Coord,
+    rng: &mut dyn RngCore,
+    sc: &mut RouteScratch,
+    walk: &mut Vec<u32>,
+) -> u64 {
+    let from = walk.len();
+    let mut meter = BitMeter::new(rng);
+    router.walk(s, t, &mut sc.blocks, &mut meter, walk);
+    if router.cuts_cycles() {
+        let kept = sc.cycles.cut(&mut walk[from..]);
+        walk.truncate(from + kept);
     }
+    meter.bits_used()
+}
+
+/// The `select_path` body every router shares: the id walk in the
+/// thread's scratch, decoded once into a path of its exact length. After
+/// warm-up that path is the only allocation.
+pub(crate) fn select_path<W: Walker + ?Sized>(
+    router: &W,
+    s: &Coord,
+    t: &Coord,
+    rng: &mut dyn RngCore,
+) -> RoutedPath {
+    with_scratch(|sc| {
+        let mut walk = std::mem::take(&mut sc.walk);
+        walk.clear();
+        let random_bits = walk_ids(router, s, t, rng, sc, &mut walk);
+        let path = Path::from_ids(router.mesh(), s, &walk);
+        sc.walk = walk;
+        RoutedPath { path, random_bits }
+    })
+}
+
+/// The `route_ids` body every router shares: each query, reseeded from
+/// its own seed, walks straight into the batch's flat id buffer. Into a
+/// warmed batch this allocates nothing.
+pub(crate) fn route_ids<W: Walker + ?Sized>(router: &W, queries: &[PathQuery], out: &mut IdBatch) {
+    with_scratch(|sc| {
+        for q in queries {
+            let mut rng = StdRng::seed_from_u64(q.seed);
+            let bits = walk_ids(router, &q.src, &q.dst, &mut rng, sc, out.ids_mut());
+            out.close(bits);
+        }
+    })
 }
 
 /// A block of a submesh chain: an axis-aligned [`Submesh`] on the mesh,
@@ -187,10 +259,10 @@ pub fn path_through_chain(
 ) -> Path {
     let mut walk = Vec::new();
     walk_chain(mesh, chain, mode, meter, None, &mut walk);
-    Path::new_unchecked(walk)
+    Path::from_ids(mesh, &chain[0].corner(), &walk)
 }
 
-/// Pushes the walk through `chain` onto `walk`: the source, then a
+/// Pushes the id walk through `chain` onto `walk`: the source, then a
 /// dimension-by-dimension subpath to a way-point of each further block
 /// (the destination for the last). With `clip`, way-points are sampled
 /// from each block's intersection with it (the padded router keeps them
@@ -205,11 +277,11 @@ pub(crate) fn walk_chain<B: Block>(
     mode: RandomnessMode,
     meter: &mut BitMeter<'_>,
     clip: Option<&Submesh>,
-    walk: &mut Vec<Coord>,
+    walk: &mut Vec<u32>,
 ) {
     let s = chain.first().expect("empty chain").corner();
     let t = chain[chain.len() - 1].corner();
-    walk.push(s);
+    let mut ids = IdWalk::start(mesh, &s, walk);
     if s == t {
         return;
     }
@@ -225,7 +297,6 @@ pub(crate) fn walk_chain<B: Block>(
         ];
         (order, donors)
     });
-    let mut cur = s;
     for (i, block) in chain.iter().enumerate().skip(1) {
         if block == &chain[i - 1] {
             continue;
@@ -239,7 +310,7 @@ pub(crate) fn walk_chain<B: Block>(
             Some((order, _)) => *order,
             None => meter.dim_order(d),
         };
-        extend_dim_by_dim(mesh, &mut cur, &v, &order[..d], walk);
+        ids.to(&v, &order[..d], walk);
     }
 }
 

@@ -64,5 +64,5 @@ pub use padded::BuschPadded;
 pub use parallel::{route_all_parallel, route_all_seeded};
 pub use randbits::{BitMeter, DonorNode};
 pub use romm::Romm;
-pub use router::{route_all, route_all_metered, ObliviousRouter, PathQuery, RoutedPath};
+pub use router::{route_all, route_all_metered, IdBatch, ObliviousRouter, PathQuery, RoutedPath};
 pub use subpath::{dim_by_dim, extend_dim_by_dim};

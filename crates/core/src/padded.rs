@@ -20,8 +20,9 @@
 //! Clipped blocks may be non-power-aligned, so the bit-recycled mode falls
 //! back to fresh sampling for those positions; bits stay `O(d log(D'd))`.
 
-use crate::chain::{select, walk_chain, RandomnessMode};
-use crate::router::{ObliviousRouter, RoutedPath};
+use crate::chain::{self, walk_chain, Blocks, RandomnessMode, Walker};
+use crate::randbits::BitMeter;
+use crate::router::{IdBatch, ObliviousRouter, PathQuery, RoutedPath};
 use oblivion_decomp::DecompD;
 use oblivion_mesh::{Coord, Mesh, Submesh, Topology};
 use rand::RngCore;
@@ -111,19 +112,38 @@ impl ObliviousRouter for BuschPadded {
     }
 
     fn select_path(&self, s: &Coord, t: &Coord, rng: &mut dyn RngCore) -> RoutedPath {
+        chain::select_path(self, s, t, rng)
+    }
+
+    fn route_ids(&self, queries: &[PathQuery], out: &mut IdBatch) {
+        chain::route_ids(self, queries, out)
+    }
+}
+
+impl Walker for BuschPadded {
+    fn cuts_cycles(&self) -> bool {
+        self.remove_cycles
+    }
+
+    fn walk(
+        &self,
+        s: &Coord,
+        t: &Coord,
+        blocks: &mut Blocks,
+        meter: &mut BitMeter<'_>,
+        walk: &mut Vec<u32>,
+    ) {
         debug_assert!(self.mesh.contains(s) && self.mesh.contains(t));
         let clip = Submesh::whole(&self.mesh);
-        select(rng, self.remove_cycles, |sc, meter| {
-            self.chain_into(s, t, &mut sc.chain);
-            walk_chain(
-                &self.mesh,
-                &sc.chain,
-                self.mode,
-                meter,
-                Some(&clip),
-                &mut sc.walk,
-            );
-        })
+        self.chain_into(s, t, &mut blocks.chain);
+        walk_chain(
+            &self.mesh,
+            &blocks.chain,
+            self.mode,
+            meter,
+            Some(&clip),
+            walk,
+        );
     }
 }
 

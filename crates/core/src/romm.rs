@@ -11,8 +11,9 @@
 //! (`Θ(√n)` vs `O(C* log n)` on 2-D transpose).
 
 use crate::baselines::two_legs;
-use crate::chain::select;
-use crate::router::{ObliviousRouter, RoutedPath};
+use crate::chain::{self, Blocks, Walker};
+use crate::randbits::BitMeter;
+use crate::router::{IdBatch, ObliviousRouter, PathQuery, RoutedPath};
 use oblivion_mesh::{Coord, Mesh, Submesh};
 use rand::RngCore;
 
@@ -54,10 +55,28 @@ impl ObliviousRouter for Romm {
     }
 
     fn select_path(&self, s: &Coord, t: &Coord, rng: &mut dyn RngCore) -> RoutedPath {
-        let bbox = Submesh::bounding_box(s, t);
-        select(rng, false, |sc, meter| {
-            two_legs(&self.mesh, s, t, &bbox, meter, &mut sc.walk);
-        })
+        chain::select_path(self, s, t, rng)
+    }
+
+    fn route_ids(&self, queries: &[PathQuery], out: &mut IdBatch) {
+        chain::route_ids(self, queries, out)
+    }
+}
+
+impl Walker for Romm {
+    fn cuts_cycles(&self) -> bool {
+        false
+    }
+
+    fn walk(
+        &self,
+        s: &Coord,
+        t: &Coord,
+        _blocks: &mut Blocks,
+        meter: &mut BitMeter<'_>,
+        walk: &mut Vec<u32>,
+    ) {
+        two_legs(&self.mesh, s, t, &Submesh::bounding_box(s, t), meter, walk);
     }
 }
 

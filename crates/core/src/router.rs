@@ -14,6 +14,63 @@ pub struct RoutedPath {
     pub random_bits: u64,
 }
 
+/// A burst of answers as node ids ([`oblivion_mesh::Mesh::node_id`] as
+/// `u32`): one flat id buffer and one span per answer, in query order.
+/// Filled by [`ObliviousRouter::route_ids`]; reused across bursts, so a
+/// warmed batch routes without allocating.
+#[derive(Debug, Clone, Default)]
+pub struct IdBatch {
+    ids: Vec<u32>,
+    /// Per answer: one past its last id in `ids`, and its random bits.
+    spans: Vec<(usize, u64)>,
+}
+
+impl IdBatch {
+    /// Forgets every answer, keeping the buffers.
+    pub fn clear(&mut self) {
+        self.ids.clear();
+        self.spans.clear();
+    }
+
+    /// Number of answers.
+    pub fn len(&self) -> usize {
+        self.spans.len()
+    }
+
+    /// True if the batch holds no answer.
+    pub fn is_empty(&self) -> bool {
+        self.spans.is_empty()
+    }
+
+    /// The node ids of answer `i`, source first: a walk of adjacent
+    /// nodes, read back by [`oblivion_mesh::decode_ids`].
+    pub fn ids(&self, i: usize) -> &[u32] {
+        let from = if i == 0 { 0 } else { self.spans[i - 1].0 };
+        &self.ids[from..self.spans[i].0]
+    }
+
+    /// Random bits answer `i` consumed.
+    pub fn random_bits(&self, i: usize) -> u64 {
+        self.spans[i].1
+    }
+
+    /// Appends a routed path as one answer.
+    pub(crate) fn push_path(&mut self, mesh: &Mesh, routed: &RoutedPath) {
+        self.ids.extend(routed.path.node_ids(mesh));
+        self.close(routed.random_bits);
+    }
+
+    /// The flat id buffer: the next answer's ids go onto its end.
+    pub(crate) fn ids_mut(&mut self) -> &mut Vec<u32> {
+        &mut self.ids
+    }
+
+    /// Ends the answer whose ids were pushed since the last one.
+    pub(crate) fn close(&mut self, random_bits: u64) {
+        self.spans.push((self.ids.len(), random_bits));
+    }
+}
+
 /// One path request of a batch: the seed fixes the private randomness,
 /// so the answer is a pure function of `(router, seed, src, dst)` —
 /// exactly the serving layer's determinism contract.
@@ -81,7 +138,7 @@ pub trait ObliviousRouter: Send + Sync {
     /// [`Self::select_path`] with that seed — batching is purely a
     /// throughput optimization and callers may mix the two freely.
     /// Every router in this crate selects in its thread's route scratch,
-    /// which keeps the block chain, the raw walk and the cycle-removal
+    /// which keeps the block chain, the raw id walk and the cycle-removal
     /// table between calls, so this default reuses all three across the
     /// burst: after warm-up each answer costs one allocation, its
     /// exact-size path.
@@ -91,6 +148,26 @@ pub trait ObliviousRouter: Send + Sync {
         for q in queries {
             let mut rng = StdRng::seed_from_u64(q.seed);
             out.push(self.select_path(&q.src, &q.dst, &mut rng));
+        }
+    }
+
+    /// Answers a burst of queries as node ids, appending one answer per
+    /// query to `out` in query order. `out` is **not** cleared, so a
+    /// caller may route several bursts (a server's tenant groups) into
+    /// one batch.
+    ///
+    /// Every answer names the nodes and random bits of
+    /// [`Self::select_path`] under `StdRng::seed_from_u64(seed)`. Every
+    /// router in this crate walks in node ids, so its override writes
+    /// each walk straight into the batch, with no [`Path`]: into a
+    /// warmed batch it allocates nothing. This default goes through
+    /// [`Self::route_batch`] and encodes each path, so a wrapper that
+    /// overrides only `route_batch` still sees every query.
+    fn route_ids(&self, queries: &[PathQuery], out: &mut IdBatch) {
+        let mut routed = Vec::with_capacity(queries.len());
+        self.route_batch(queries, &mut routed);
+        for rp in &routed {
+            out.push_path(self.mesh(), rp);
         }
     }
 }

@@ -1,18 +1,19 @@
 //! Golden pin of router output: every router's answers to a fixed set of
 //! 256 queries, folded into one FNV-1a digest of hops and random-bit
-//! counts. `select_path` and `route_batch` (batches of 64) must both
-//! reproduce the pinned digest, so a kernel change that alters any hop or
-//! any bit count of any answer fails here.
+//! counts. `select_path`, `route_batch` and `route_ids` (batches of 64)
+//! must all reproduce the pinned digest, so a kernel change that alters
+//! any hop or any bit count of any answer fails here. The id batch is
+//! read back by `Mesh::coord`, independently of the id-walk decoder.
 //!
 //! The serve differential suite cannot catch such a change: it compares
 //! the server with an in-process `select_path`, and both sides move
 //! together.
 
 use oblivion_core::{
-    build_router, implies_torus, parse_mesh_spec, Busch2D, BuschD, BuschTorus, ObliviousRouter,
-    PathQuery, RandomnessMode, RoutedPath,
+    build_router, implies_torus, parse_mesh_spec, Busch2D, BuschD, BuschTorus, IdBatch,
+    ObliviousRouter, PathQuery, RandomnessMode, RoutedPath,
 };
-use oblivion_mesh::{Coord, Mesh};
+use oblivion_mesh::{Coord, Mesh, NodeId};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -68,9 +69,13 @@ impl Fnv {
     }
 
     fn answer(&mut self, rp: &RoutedPath) {
-        self.bytes(&rp.random_bits.to_le_bytes());
-        self.bytes(&(rp.path.nodes().len() as u64).to_le_bytes());
-        for hop in rp.path.nodes() {
+        self.hops(rp.random_bits, rp.path.nodes());
+    }
+
+    fn hops(&mut self, random_bits: u64, nodes: &[Coord]) {
+        self.bytes(&random_bits.to_le_bytes());
+        self.bytes(&(nodes.len() as u64).to_le_bytes());
+        for hop in nodes {
             for &x in hop.as_slice() {
                 self.bytes(&x.to_le_bytes());
             }
@@ -99,12 +104,38 @@ fn batch_digest(r: &dyn ObliviousRouter, qs: &[PathQuery]) -> u64 {
     h.0
 }
 
+fn ids_digest(r: &dyn ObliviousRouter, qs: &[PathQuery]) -> u64 {
+    let mesh = r.mesh();
+    let mut h = Fnv::new();
+    let mut batch = IdBatch::default();
+    let mut nodes = Vec::new();
+    for chunk in qs.chunks(BATCH) {
+        batch.clear();
+        r.route_ids(chunk, &mut batch);
+        assert_eq!(batch.len(), chunk.len());
+        for i in 0..batch.len() {
+            nodes.clear();
+            nodes.extend(
+                batch
+                    .ids(i)
+                    .iter()
+                    .map(|&id| mesh.coord(NodeId(id as usize))),
+            );
+            h.hops(batch.random_bits(i), &nodes);
+        }
+    }
+    h.0
+}
+
 fn check(label: &str, r: &dyn ObliviousRouter, want: u64) -> Option<String> {
     let qs = queries(r.mesh());
-    let (single, batched) = (select_digest(r, &qs), batch_digest(r, &qs));
-    (single != want || batched != want).then(|| {
+    let single = select_digest(r, &qs);
+    let batched = batch_digest(r, &qs);
+    let ids = ids_digest(r, &qs);
+    (single != want || batched != want || ids != want).then(|| {
         format!(
-            "{label}: select_path {single:#018x}, route_batch {batched:#018x}, pinned {want:#018x}"
+            "{label}: select_path {single:#018x}, route_batch {batched:#018x}, \
+             route_ids {ids:#018x}, pinned {want:#018x}"
         )
     })
 }

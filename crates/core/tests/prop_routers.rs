@@ -3,9 +3,9 @@
 
 use oblivion_core::{
     extend_dim_by_dim, stretch_bound, AccessTree, Busch2D, BuschD, BuschPadded, BuschTorus,
-    DimOrder, ObliviousRouter, RandomDimOrder, RandomnessMode, Romm, Valiant,
+    DimOrder, IdBatch, ObliviousRouter, PathQuery, RandomDimOrder, RandomnessMode, Romm, Valiant,
 };
-use oblivion_mesh::{Coord, Mesh, MAX_DIM};
+use oblivion_mesh::{decode_ids, Coord, Mesh, NodeId, Path, MAX_DIM};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -303,5 +303,148 @@ fn dim_by_dim_walk_equals_per_hop_walk_on_every_1d_pair() {
                 );
             }
         }
+    }
+}
+
+/// Routes `(s, t)`, `(t, s)` and `(s, s)` as one id batch appended after
+/// an answer already in it, and checks each answer against
+/// `select_path`: the same nodes through `Mesh::node_id`, the same bits.
+fn ids_match_select_path(
+    r: &dyn ObliviousRouter,
+    s: &Coord,
+    t: &Coord,
+    seed: u64,
+) -> Result<(), TestCaseError> {
+    let mesh = r.mesh();
+    let qs = [
+        PathQuery {
+            seed,
+            src: *s,
+            dst: *t,
+        },
+        PathQuery {
+            seed: !seed,
+            src: *t,
+            dst: *s,
+        },
+        PathQuery {
+            seed,
+            src: *s,
+            dst: *s,
+        },
+    ];
+    let mut batch = IdBatch::default();
+    r.route_ids(&qs[..1], &mut batch);
+    r.route_ids(&qs, &mut batch);
+    prop_assert_eq!(batch.len(), 1 + qs.len());
+    for (i, q) in qs.iter().enumerate() {
+        let want = r.select_path(&q.src, &q.dst, &mut StdRng::seed_from_u64(q.seed));
+        let ids: Vec<u32> = want
+            .path
+            .nodes()
+            .iter()
+            .map(|c| mesh.node_id(c).0 as u32)
+            .collect();
+        prop_assert_eq!(batch.ids(i + 1), &ids[..], "{}", r.name());
+        prop_assert_eq!(batch.random_bits(i + 1), want.random_bits, "{}", r.name());
+        prop_assert_eq!(
+            &Path::from_ids(mesh, &q.src, batch.ids(i + 1)),
+            &want.path,
+            "{}",
+            r.name()
+        );
+    }
+    prop_assert_eq!(batch.ids(0), batch.ids(1));
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Every router's id batch names `select_path`'s nodes and bits: on
+    /// meshes of every `d <= MAX_DIM` and on tori of the same shapes.
+    #[test]
+    fn id_batches_equal_select_path((d, k, s, t, seed) in scenario()) {
+        let mesh = Mesh::new_mesh(&vec![1u32 << k; d]);
+        for r in routers(&mesh) {
+            ids_match_select_path(r.as_ref(), &s, &t, seed)?;
+        }
+        let torus = Mesh::new_torus(&vec![1u32 << k; d]);
+        let on_torus: Vec<Box<dyn ObliviousRouter>> = vec![
+            Box::new(BuschTorus::new(torus.clone())),
+            Box::new(BuschTorus::new(torus.clone()).with_mode(RandomnessMode::Fresh)),
+            Box::new(Valiant::new(torus.clone())),
+            Box::new(Romm::new(torus.clone())),
+            Box::new(RandomDimOrder::new(torus.clone())),
+        ];
+        for r in on_torus {
+            ids_match_select_path(r.as_ref(), &s, &t, seed)?;
+        }
+    }
+
+    /// The same on rectangles, where strides differ per axis and the
+    /// padded router clips its way-points.
+    #[test]
+    fn id_batches_equal_select_path_on_rectangles((dims, s, t, seed) in rect_scenario()) {
+        let mesh = Mesh::new_mesh(&dims);
+        let on_rect: Vec<Box<dyn ObliviousRouter>> = vec![
+            Box::new(BuschPadded::new(mesh.clone())),
+            Box::new(Valiant::new(mesh.clone())),
+            Box::new(Romm::new(mesh.clone())),
+            Box::new(DimOrder::new(mesh.clone())),
+        ];
+        for r in on_rect {
+            ids_match_select_path(r.as_ref(), &s, &t, seed)?;
+        }
+    }
+}
+
+/// Strategy: a random walk of adjacent nodes on a mesh or torus of
+/// every `d <= MAX_DIM` with sides 1..=3, so side-2 rings (no wrap
+/// link) and side-3 rings (a wrap link at every end) come up often.
+fn id_walk_scenario() -> impl Strategy<Value = (Mesh, Vec<Coord>)> {
+    (1usize..=MAX_DIM)
+        .prop_flat_map(|d| {
+            (
+                prop::collection::vec(1u32..=3, d),
+                any::<bool>(),
+                any::<u64>(),
+                prop::collection::vec(any::<u32>(), 0..64),
+            )
+        })
+        .prop_map(|(dims, torus, start, steps)| {
+            let mesh = if torus {
+                Mesh::new_torus(&dims)
+            } else {
+                Mesh::new_mesh(&dims)
+            };
+            let mut cur = mesh.coord(NodeId((start % mesh.node_count() as u64) as usize));
+            let mut walk = vec![cur];
+            for step in steps {
+                let nbs = mesh.neighbors(&cur);
+                if nbs.is_empty() {
+                    break;
+                }
+                cur = nbs[step as usize % nbs.len()];
+                walk.push(cur);
+            }
+            (mesh, walk)
+        })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1024))]
+
+    /// Any walk of adjacent nodes, in ids, decodes back to itself — wrap
+    /// hops, turns and back-steps included.
+    #[test]
+    fn id_walks_decode_round_trip((mesh, walk) in id_walk_scenario()) {
+        let ids: Vec<u32> = walk.iter().map(|c| mesh.node_id(c).0 as u32).collect();
+        let mut decoded = Vec::new();
+        decode_ids(&mesh, &walk[0], &ids, |c| decoded.push(c));
+        prop_assert_eq!(&decoded, &walk);
+        let path = Path::from_ids(&mesh, &walk[0], &ids);
+        prop_assert_eq!(path.nodes(), &walk[..]);
+        prop_assert!(path.node_ids(&mesh).eq(ids.iter().copied()));
     }
 }

@@ -87,6 +87,17 @@ impl Coord {
         c
     }
 
+    /// Adds `v` to every component slot at once, wrapping: one wide add
+    /// instead of a store to one component, so a running coordinate is
+    /// never read back wide right after a narrow write. Slots past
+    /// [`Self::dim`] must get 0.
+    #[inline]
+    pub(crate) fn wrapping_add_all(&mut self, v: &[u32; MAX_DIM]) {
+        for (x, dx) in self.xs.iter_mut().zip(v) {
+            *x = x.wrapping_add(*dx);
+        }
+    }
+
     /// L1 (Manhattan) distance to `other`, the mesh shortest-path distance.
     ///
     /// # Panics

@@ -181,6 +181,13 @@ impl Mesh {
         self.dims[axis]
     }
 
+    /// Row-major strides: how far a node's id moves per step along each
+    /// axis, `∏_{j>i} m_j`.
+    #[inline]
+    pub fn strides(&self) -> &[usize] {
+        &self.strides
+    }
+
     /// Total number of nodes `n = ∏ m_i`.
     #[inline]
     pub fn node_count(&self) -> usize {

@@ -1,7 +1,9 @@
 //! Packet paths: walks through the mesh.
 
 use crate::coord::Coord;
-use crate::mesh::{EdgeId, Mesh};
+use crate::decode_ids;
+use crate::mesh::{EdgeId, Mesh, NodeId};
+use std::marker::PhantomData;
 
 /// A walk through the mesh: a sequence of pairwise-adjacent coordinates.
 ///
@@ -38,6 +40,27 @@ impl Path {
     pub fn new_unchecked(nodes: Vec<Coord>) -> Self {
         debug_assert!(!nodes.is_empty());
         Self { nodes }
+    }
+
+    /// Decodes a walk of adjacent node ids ([`Mesh::node_id`] as `u32`,
+    /// `ids[0]` the id of `start`) into a path with [`decode_ids`]: a
+    /// compare and an add per hop, no division, and one allocation of
+    /// the exact size.
+    ///
+    /// # Panics
+    /// Panics if `ids` is empty or two consecutive ids are not adjacent.
+    pub fn from_ids(mesh: &Mesh, start: &Coord, ids: &[u32]) -> Self {
+        let mut nodes = Vec::with_capacity(ids.len());
+        decode_ids(mesh, start, ids, |c| nodes.push(c));
+        Self { nodes }
+    }
+
+    /// The node ids of the path, the inverse of [`Self::from_ids`].
+    pub fn node_ids<'a>(&'a self, mesh: &'a Mesh) -> impl Iterator<Item = u32> + 'a {
+        self.nodes.iter().map(|c| {
+            let NodeId(id) = mesh.node_id(c);
+            id as u32
+        })
     }
 
     /// The trivial path sitting at one node.
@@ -113,7 +136,8 @@ impl Path {
     ///
     /// Each node's output position is found in a [`CycleTable`]: open
     /// addressing keyed by a multiplicative hash of the components (no
-    /// SipHash), where an entry counts only while the output still holds
+    /// SipHash; the route kernel keys the same table by node id), where
+    /// an entry counts only while the output still holds
     /// that node at that position. Cutting a loop therefore deletes
     /// nothing, and entries stamped per walk make clearing unnecessary:
     /// expected time is linear in the walk. Use
@@ -149,31 +173,77 @@ impl Path {
     }
 }
 
-/// The lookup table of cycle removal, reusable across walks.
+/// A walk node that cycle removal can key on: a [`Coord`], or a node
+/// id of the route kernel's `u32` walk.
+pub trait CycleKey: Copy + Eq {
+    /// A multiplicative (Fx-style) hash; the table takes its top bits.
+    fn cycle_hash(&self) -> u64;
+}
+
+const HASH_MUL: u64 = 0x517C_C1B7_2722_0A95;
+
+impl CycleKey for Coord {
+    #[inline]
+    fn cycle_hash(&self) -> u64 {
+        self.as_slice().iter().fold(0u64, |h, &x| {
+            (h.rotate_left(5) ^ u64::from(x)).wrapping_mul(HASH_MUL)
+        })
+    }
+}
+
+impl CycleKey for u32 {
+    #[inline]
+    fn cycle_hash(&self) -> u64 {
+        u64::from(*self).wrapping_mul(HASH_MUL)
+    }
+}
+
+/// The lookup table of cycle removal, reusable across walks: keyed by
+/// [`Coord`] for [`Path::remove_cycles`] and by `u32` node id for the
+/// route kernel.
 ///
-/// An open-addressing table keyed by a multiplicative hash of the
-/// coordinate's components. A slot holds an output position, tagged with
-/// the stamp of the walk that wrote it; a slot with another stamp is
-/// empty, so starting a new walk costs one increment instead of a clear.
-/// A slot counts as a hit for `c` only while the output still holds `c`
-/// at its position, so cutting a loop deletes nothing: the slots of the
-/// cut nodes simply stop matching. Each walk node writes at most one
-/// slot and the table keeps at least twice as many slots as the walk has
+/// An open-addressing table keyed by a multiplicative hash of the node
+/// ([`CycleKey`]). A slot holds an output position, tagged with the
+/// stamp of the walk that wrote it; a slot with another stamp is empty,
+/// so starting a new walk costs one increment instead of a clear. A slot
+/// counts as a hit for `c` only while the output still holds `c` at its
+/// position, so cutting a loop deletes nothing: the slots of the cut
+/// nodes simply stop matching. Each walk node writes at most one slot
+/// and the table keeps at least twice as many slots as the walk has
 /// nodes, so probe chains stay short and always end at an empty slot.
-#[derive(Debug, Clone, Default)]
-pub struct CycleTable {
+/// The table holds no per-mesh state: it grows with the longest walk.
+#[derive(Debug, Clone)]
+pub struct CycleTable<K = Coord> {
     /// `stamp << 32 | position`.
     slots: Vec<u64>,
     stamp: u32,
+    key: PhantomData<K>,
 }
 
-impl CycleTable {
+impl<K> Default for CycleTable<K> {
+    fn default() -> Self {
+        Self {
+            slots: Vec::new(),
+            stamp: 0,
+            key: PhantomData,
+        }
+    }
+}
+
+impl<K: CycleKey> CycleTable<K> {
     /// Removes every cycle of the walk `nodes` in place; see
     /// [`Path::remove_cycles`].
-    pub fn remove_cycles(&mut self, nodes: &mut Vec<Coord>) {
+    pub fn remove_cycles(&mut self, nodes: &mut Vec<K>) {
+        let kept = self.cut(nodes);
+        nodes.truncate(kept);
+    }
+
+    /// Compacts the cycle-free walk of `nodes` into its front and
+    /// returns its length; what follows it is left over.
+    pub fn cut(&mut self, nodes: &mut [K]) -> usize {
         let n = nodes.len();
         if n <= 2 {
-            return;
+            return n;
         }
         let want = (2 * n).next_power_of_two();
         if self.slots.len() < want {
@@ -191,7 +261,7 @@ impl CycleTable {
         let mut len = 0;
         for i in 0..n {
             let c = nodes[i];
-            let mut slot = (hash(&c) >> shift) as usize;
+            let mut slot = (c.cycle_hash() >> shift) as usize;
             loop {
                 let entry = self.slots[slot];
                 if entry & !0xFFFF_FFFF != tag {
@@ -208,16 +278,8 @@ impl CycleTable {
                 slot = (slot + 1) & mask;
             }
         }
-        nodes.truncate(len);
+        len
     }
-}
-
-/// A multiplicative (Fx-style) hash of the active components.
-#[inline]
-fn hash(c: &Coord) -> u64 {
-    c.as_slice().iter().fold(0u64, |h, &x| {
-        (h.rotate_left(5) ^ u64::from(x)).wrapping_mul(0x517C_C1B7_2722_0A95)
-    })
 }
 
 #[cfg(test)]

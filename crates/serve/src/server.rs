@@ -9,7 +9,7 @@
 //!                    queue; both full → shed with ERR OVERLOADED
 //! crew[1..=threads]  workers: each OWNS its accepted sockets for their
 //!                    whole life — reads pipelined frames, batches them
-//!                    through `route_batch`, writes replies in order
+//!                    through `route_ids`, writes replies in order
 //! crew[..]           stats flusher (optional): appends a JSONL snapshot
 //!                    to --metrics-out every --stats-every interval, so
 //!                    a crash loses at most one interval of telemetry
@@ -48,9 +48,11 @@
 //! order (IDs are echoed per line for correlation). A worker services
 //! its connections run-to-completion in bursts: it frames up to
 //! `batch_max` pending lines, routes all `PATH` queries in one
-//! [`route_batch`] call over a reused scratch buffer, and writes the
-//! whole burst of replies with a single syscall on the nonblocking
-//! socket (parking on `POLLOUT` only when the kernel buffer is full).
+//! [`route_ids`] call per tenant into a reused buffer of node ids,
+//! writes each reply line straight from those ids (decoded hop by hop,
+//! no `Path` per line), and sends the whole burst of replies with a
+//! single syscall on the nonblocking socket (parking on `POLLOUT` only
+//! when the kernel buffer is full).
 //! The shared overflow queue exists only for bursts of new connections
 //! that outpace the round-robin mailboxes.
 //!
@@ -69,7 +71,7 @@
 //! drain.
 //!
 //! [`run_crew`]: oblivion_sim::pool::run_crew
-//! [`route_batch`]: oblivion_core::ObliviousRouter::route_batch
+//! [`route_ids`]: oblivion_core::ObliviousRouter::route_ids
 
 use crate::chaos::{ChaosConfig, ChaosPlan};
 use crate::metrics::render_exposition;
@@ -78,7 +80,7 @@ use crate::registry::{Registry, Resolved, RouterHandle, Tenant};
 use crate::stats::{ChaosEvent, Counter, Phase, ServeStats, StatsSnapshot, SERIES};
 use crate::wire::{self, ErrorKind, Framed, Request, MAX_REQUEST_LINE};
 use oblivion_core::{
-    build_router, implies_torus, parse_mesh_spec, ObliviousRouter, PathQuery, RoutedPath,
+    build_router, implies_torus, parse_mesh_spec, IdBatch, ObliviousRouter, PathQuery,
 };
 use oblivion_obs::Json;
 use oblivion_signal::{Latch, PollFd, Waker};
@@ -123,7 +125,7 @@ pub struct ServeConfig {
     /// point of batched dispatch.
     pub work: Duration,
     /// Most pending request lines a worker answers per burst (also the
-    /// `route_batch` batch size). Larger values amortize dispatch
+    /// `route_ids` batch size). Larger values amortize dispatch
     /// overhead further; smaller values bound per-burst latency.
     pub batch_max: usize,
     /// Background stats flusher interval; `None` disables the flusher.
@@ -352,7 +354,7 @@ enum Slot<'a> {
         tenant: Option<Arc<Tenant<'a>>>,
     },
     /// A `PATH` query awaiting the batched route; `qi` indexes into the
-    /// burst's query/routed scratch once assigned.
+    /// burst's query and id-batch scratch once assigned.
     Route {
         q: PathQuery,
         id: Option<String>,
@@ -628,14 +630,12 @@ fn accept_loop(
 }
 
 /// Scratch buffers a worker reuses across every burst it dispatches —
-/// the allocation-amortization half of the batching story. `group` is
-/// the per-tenant staging area of the grouped route (queries are
-/// gathered group-major into `queries`, routed per group into `group`,
-/// and concatenated into `routed`).
+/// the allocation-amortization half of the batching story. Queries are
+/// gathered group-major into `queries` and each tenant group is routed
+/// onto the end of `ids`, so answer `i` of `ids` is query `i`'s path.
 struct Scratch<'a> {
     queries: Vec<PathQuery>,
-    routed: Vec<RoutedPath>,
-    group: Vec<RoutedPath>,
+    ids: IdBatch,
     slots: Vec<Slot<'a>>,
     reply: String,
 }
@@ -658,8 +658,7 @@ fn worker_loop<'a>(
     let mut overflow_closed = false;
     let mut scratch = Scratch {
         queries: Vec::new(),
-        routed: Vec::new(),
-        group: Vec::new(),
+        ids: IdBatch::default(),
         slots: Vec::new(),
         reply: String::new(),
     };
@@ -995,7 +994,7 @@ fn parse_on_tenant<'a>(
 /// Answers up to `batch_max` pending lines in one pass: parse them all
 /// (resolving each line's `MESH` prefix against the registry and
 /// charging its tenant's quota), run the simulated work *once*, route
-/// every live `PATH` query through `route_batch` grouped by tenant,
+/// every live `PATH` query through `route_ids` grouped by tenant,
 /// then write every reply — in request order — with a single syscall.
 fn dispatch_burst<'a>(
     registry: &'a Registry<'a>,
@@ -1148,11 +1147,11 @@ fn dispatch_burst<'a>(
         }
     }
     // Post-work expiry check, then batch-route the survivors grouped
-    // by tenant — one `route_batch` call per distinct mesh in
+    // by tenant — one `route_ids` call per distinct mesh in
     // first-appearance order, so a single-tenant burst (the only kind
     // prefix-free traffic produces) is exactly one call over the slots
     // in request order, identical to the single-mesh server. Each
-    // query reseeds from its own wire seed inside `route_batch`, so
+    // query reseeds from its own wire seed inside `route_ids`, so
     // batched answers stay byte-identical to single-shot routing.
     let now = Instant::now();
     for slot in &mut scratch.slots {
@@ -1173,7 +1172,7 @@ fn dispatch_burst<'a>(
         }
     }
     scratch.queries.clear();
-    scratch.routed.clear();
+    scratch.ids.clear();
     let mut burst_tenants: Vec<Arc<Tenant<'a>>> = Vec::new();
     for slot in &scratch.slots {
         if let Slot::Route { tenant, .. } = slot {
@@ -1194,8 +1193,7 @@ fn dispatch_burst<'a>(
         }
         group
             .router()
-            .route_batch(&scratch.queries[base..], &mut scratch.group);
-        scratch.routed.append(&mut scratch.group);
+            .route_ids(&scratch.queries[base..], &mut scratch.ids);
     }
     ctl.stats
         .record_phase(Phase::RouteCompute, elapsed_us(route_started));
@@ -1219,12 +1217,14 @@ fn dispatch_burst<'a>(
                     _ => settled[3] += 1,
                 }
             }
-            Slot::Route { id, qi, tenant, .. } => {
-                let routed = &scratch.routed[*qi];
-                wire::push_path_line(
+            Slot::Route {
+                id, q, qi, tenant, ..
+            } => {
+                wire::push_id_path_line(
                     &mut scratch.reply,
-                    &routed.path,
-                    tenant.router().mesh().dim(),
+                    tenant.router().mesh(),
+                    &q.src,
+                    scratch.ids.ids(*qi),
                     id.as_deref(),
                 );
                 settled[0] += 1;

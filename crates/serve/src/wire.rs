@@ -64,7 +64,7 @@
 //!
 //! [`select_path`]: oblivion_core::ObliviousRouter::select_path
 
-use oblivion_mesh::{Coord, Mesh, Path, MAX_DIM};
+use oblivion_mesh::{decode_ids, Coord, Mesh, Path, MAX_DIM};
 use std::fmt;
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -472,17 +472,42 @@ pub fn format_path_line_with_id(path: &Path, dim: usize, id: Option<&str>) -> St
 /// chunk, so into a warmed buffer (a worker's burst reply) this
 /// allocates nothing.
 pub fn push_path_line(out: &mut String, path: &Path, dim: usize, id: Option<&str>) {
-    out.push_str("OK");
-    if let Some(id) = id {
-        out.push_str(" id=");
-        out.push_str(id);
-    }
-    let mut chunk = LineChunk::new(out);
+    let mut chunk = ok_line(out, id);
     for hop in path.nodes() {
         chunk.coord(b' ', hop, dim);
     }
     chunk.byte(b'\n');
     chunk.flush();
+}
+
+/// Appends the `OK` line of a path given as node ids: a walk of adjacent
+/// nodes from `src` (`ids[0]` is its id), as
+/// [`oblivion_core::ObliviousRouter::route_ids`] answers. The bytes are
+/// those of [`push_path_line`] for the same path; each hop is decoded
+/// from its id by [`decode_ids`] instead of read from a `Path`.
+pub fn push_id_path_line(
+    out: &mut String,
+    mesh: &Mesh,
+    src: &Coord,
+    ids: &[u32],
+    id: Option<&str>,
+) {
+    let dim = mesh.dim();
+    let mut chunk = ok_line(out, id);
+    decode_ids(mesh, src, ids, |hop| chunk.coord(b' ', &hop, dim));
+    chunk.byte(b'\n');
+    chunk.flush();
+}
+
+/// Starts an `OK` line (with its echoed ID) and returns the chunk its
+/// hops go into.
+fn ok_line<'a>(out: &'a mut String, id: Option<&str>) -> LineChunk<'a> {
+    out.push_str("OK");
+    if let Some(id) = id {
+        out.push_str(" id=");
+        out.push_str(id);
+    }
+    LineChunk::new(out)
 }
 
 /// Formats an `ERR` line; `detail` is appended for `BAD_REQUEST`.

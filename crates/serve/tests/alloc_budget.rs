@@ -4,13 +4,16 @@
 //! - `select_path`: at most 2 allocations per call (the exact-size path
 //!   is the only one the kernel needs);
 //! - `route_batch` at batch 64: at most 1.1 per path;
+//! - `route_ids` of a warmed 64-query id batch, every router: none;
 //! - `push_path_line` into a warmed `String`: none;
 //! - `format_path_line_with_id`: one, the returned line.
 //!
 //! Each thread counts only its own allocations, so the tests of this
 //! binary may run in parallel.
 
-use oblivion_core::{build_router, ObliviousRouter, PathQuery};
+use oblivion_core::{
+    build_router, implies_torus, IdBatch, ObliviousRouter, PathQuery, ROUTER_NAMES,
+};
 use oblivion_mesh::{Coord, Mesh, NodeId};
 use oblivion_serve::wire::{format_path_line_with_id, push_path_line};
 use rand::rngs::StdRng;
@@ -124,6 +127,27 @@ fn route_batch_allocates_at_most_1_1_per_path() {
     run(&qs[..2048]);
     let per_path = allocs(|| run(&qs[2048..])) as f64 / 2048.0;
     assert!(per_path <= 1.1, "{per_path} allocations per routed path");
+}
+
+#[test]
+fn warmed_id_batches_allocate_nothing_for_every_router() {
+    for name in ROUTER_NAMES {
+        let mesh = if implies_torus(name) {
+            Mesh::new_torus(&[16, 16])
+        } else {
+            Mesh::new_mesh(&[16, 16])
+        };
+        let r = build_router(name, &mesh).unwrap();
+        let qs = queries(r.mesh(), 64);
+        let mut batch = IdBatch::default();
+        let mut run = || {
+            batch.clear();
+            r.route_ids(&qs, &mut batch);
+            std::hint::black_box(&batch);
+        };
+        run();
+        assert_eq!(allocs(run), 0, "{name}: allocations in a warmed id batch");
+    }
 }
 
 #[test]

@@ -478,9 +478,9 @@ pub(crate) fn run_sharded_ckpt(
         Stepped,
     }
     let mut stage = Stage::Begin;
-    // Per-step phase timers. Inject spans the draw and parallel routing,
-    // join the Routed stage's merge, numbering and joins, move the STEP
-    // phase + harvest.
+    // Per-step phase timers. Inject spans the draw and parallel routing
+    // (the draw alone is recorded too), join the Routed stage's merge,
+    // numbering and joins, move the STEP phase + harvest.
     let mut timer = PhaseTimer::idle();
 
     let next = || -> bool {
@@ -515,6 +515,7 @@ pub(crate) fn run_sharded_ckpt(
                     // replay the final injection step's list).
                     let mut pend = pending.write().unwrap();
                     sp.draw_injections(mesh, &nodes, pattern, &mut pend);
+                    timer.draw_done();
                     stage = Stage::Routed;
                     if !pend.is_empty() {
                         phase.store(ROUTE_PHASE, Ordering::SeqCst);

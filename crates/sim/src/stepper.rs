@@ -215,6 +215,18 @@ impl PhaseTimer {
         self.at = oblivion_obs::is_enabled().then(std::time::Instant::now);
     }
 
+    /// The coordinator's serial injection draw done: record the time
+    /// since the step started as `online_phase_draw_us`. The inject
+    /// phase keeps running, so its histogram still spans draw + routing.
+    pub(crate) fn draw_done(&self) {
+        if let Some(started) = self.at {
+            oblivion_obs::record_runtime(
+                "online_phase_draw_us",
+                started.elapsed().as_micros() as u64,
+            );
+        }
+    }
+
     /// Injection (draw + routing) done: record it, start the join phase.
     pub(crate) fn inject_done(&mut self) {
         self.lap("online_phase_inject_us");

@@ -218,6 +218,71 @@ metrics_gate() {
 timed_retry "metrics gate (METRICS scrape + top --check + flusher/report diff)" \
   metrics_gate
 
+# Id-walk geometries live: the server writes every reply from node ids,
+# so a torus (wrap hops) and a rectangle (unequal strides) must each
+# serve a pipelined loadgen with no failed and no malformed reply (the
+# loadgen checks every hop's adjacency on the mesh it is given).
+id_walk_serve_gate() {
+  cargo build --offline --quiet --bin oblivion
+  local bin=target/debug/oblivion
+  local leg router spec torus tmp port pid up
+  for leg in "busch-torus 16x16 --torus" "busch-padded 12x20"; do
+    read -r router spec torus <<< "$leg"
+    tmp=$(mktemp -d)
+    pid=""
+    for _ in $(seq 1 10); do
+      port=$((21000 + RANDOM % 30000))
+      : > "$tmp/serve.err"
+      "$bin" serve --router "$router" --mesh "$spec" --port "$port" --no-health \
+        --threads 2 > "$tmp/serve.out" 2> "$tmp/serve.err" &
+      pid=$!
+      up=0
+      for _ in $(seq 1 100); do
+        if grep -q "serve: listening" "$tmp/serve.err" 2> /dev/null; then
+          up=1
+          break
+        fi
+        if ! kill -0 "$pid" 2> /dev/null; then
+          break
+        fi
+        sleep 0.05
+      done
+      if [[ $up == 1 ]]; then
+        break
+      fi
+      wait "$pid" 2> /dev/null || true
+      pid=""
+    done
+    if [[ -z "$pid" ]]; then
+      echo "id-walk serve gate: could not start $router on $spec" >&2
+      cat "$tmp/serve.err" >&2
+      rm -rf "$tmp"
+      return 1
+    fi
+    # shellcheck disable=SC2086 # $torus is one switch or nothing
+    if ! "$bin" loadgen --mesh "$spec" $torus --port "$port" --requests 400 \
+      --concurrency 2 --pipeline 32 --seed 7 > "$tmp/loadgen.out" 2>&1 \
+      || ! grep -q "failed=0 malformed=0" "$tmp/loadgen.out"; then
+      echo "id-walk serve gate: $router on $spec: loadgen failed or saw malformed replies" >&2
+      cat "$tmp/loadgen.out" >&2
+      kill -9 "$pid" 2> /dev/null || true
+      rm -rf "$tmp"
+      return 1
+    fi
+    kill -TERM "$pid"
+    if ! wait "$pid"; then
+      echo "id-walk serve gate: $router on $spec: SIGTERM drain did not exit 0" >&2
+      cat "$tmp/serve.out" "$tmp/serve.err" >&2
+      rm -rf "$tmp"
+      return 1
+    fi
+    rm -rf "$tmp"
+  done
+}
+
+timed_retry "id-walk serve gate (busch-torus 16x16, busch-padded 12x20 under loadgen)" \
+  id_walk_serve_gate
+
 # Straggler resilience: a daemon with deterministic chaos injection
 # (heavy-tailed stalls, slow writes, connection resets, worker pauses)
 # must survive a hedged open-loop load with zero failed requests, and

@@ -226,6 +226,7 @@ const SERVE: Groups = &[
 
 const LOADGEN: Groups = &[&[
     mesh("16x16"),
+    TORUS,
     PORT,
     HOST,
     SEED,
@@ -1529,7 +1530,9 @@ fn cmd_loadgen(args: &Args) -> Result<String, String> {
     };
     let cfg = LoadgenConfig {
         addr: format!("{}:{}", args.str("host")?, args.num::<u16>("port")?),
-        mesh: parse_mesh_spec(args.str("mesh")?, false)?,
+        // The replies of a torus router hop over wrap links, which only
+        // a torus mesh counts as adjacent.
+        mesh: parse_mesh_spec(args.str("mesh")?, args.flag("torus"))?,
         requests: args.num("requests")?,
         concurrency: args.num("concurrency")?,
         retries: args.num("retries")?,
