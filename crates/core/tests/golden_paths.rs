@@ -10,7 +10,7 @@
 //! together.
 
 use oblivion_core::{
-    build_router, implies_torus, parse_mesh_spec, Busch2D, BuschD, BuschTorus, IdBatch,
+    build_router, implies_torus, parse_mesh_spec, AccessTree, Busch2D, BuschD, BuschTorus, IdBatch,
     ObliviousRouter, PathQuery, RandomnessMode, RoutedPath,
 };
 use oblivion_mesh::{Coord, Mesh, NodeId};
@@ -143,10 +143,14 @@ fn check(label: &str, r: &dyn ObliviousRouter, want: u64) -> Option<String> {
 /// `(router name, mesh spec, digest)` for routers built by name.
 const BY_NAME: &[(&str, &str, u64)] = &[
     ("busch2d", "64x64", 0x5f3a_6ebe_9f9f_cd7f),
+    ("busch2d", "32x32", 0x1f7f_de3e_9333_f7a9),
     ("buschd", "16x16", 0x6cda_56c3_ed0d_4226),
     ("buschd", "8x8x8", 0x5b1a_841d_3bba_7437),
+    ("buschd", "4x4x4x4", 0x0a19_55fb_7b76_a5bc),
     ("busch-padded", "12x20", 0x7123_d0f7_b113_6f2f),
+    ("busch-padded", "5x6x7", 0xcd92_18a9_d83f_3e21),
     ("busch-torus", "16x16", 0x8ccf_9f9c_906c_e439),
+    ("busch-torus", "8x8x8", 0xb99b_fcdb_dc1d_276e),
     ("access-tree", "16x16", 0x3896_9c05_f3fb_fc31),
     ("access-tree", "8x8x8", 0xc712_d2ec_2a0c_7f8d),
     ("valiant", "16x16", 0x6134_cc6d_c925_0b2d),
@@ -184,6 +188,11 @@ fn router_variants_match_their_pinned_digests() {
             0x4912_a1a2_8107_dbdf,
         ),
         (
+            "busch2d 32x32 fresh",
+            Box::new(Busch2D::new(Mesh::new_mesh(&[32, 32])).with_mode(fresh)),
+            0xf57f_f931_b650_6678,
+        ),
+        (
             "busch2d 16x16 cycles kept",
             Box::new(Busch2D::new(Mesh::new_mesh(&[16, 16])).with_cycle_removal(false)),
             0x3690_9202_2777_69c9,
@@ -197,6 +206,11 @@ fn router_variants_match_their_pinned_digests() {
             "busch-torus 16x16 fresh",
             Box::new(BuschTorus::new(Mesh::new_torus(&[16, 16])).with_mode(fresh)),
             0x8523_a682_f375_f85b,
+        ),
+        (
+            "access-tree 16x16 fresh",
+            Box::new(AccessTree::new(Mesh::new_mesh(&[16, 16])).with_mode(fresh)),
+            0x79e0_48b8_7df2_211f,
         ),
     ];
     let wrong: Vec<String> = variants

@@ -2,7 +2,7 @@
 //! (materialized access-graph) views of the decomposition: the chain the
 //! router navigates must be exactly the bitonic path in `G(M)`.
 
-use oblivion::decomp::{AccessGraph, Decomp2};
+use oblivion::decomp::{AccessGraph, AccessGraphD, Decomp2, DecompD};
 use oblivion::prelude::*;
 
 #[test]
@@ -24,6 +24,50 @@ fn busch2d_chain_equals_access_graph_bitonic_path() {
                 assert_eq!(
                     implicit, explicit,
                     "k={k} {s:?}->{t:?}: implicit chain and access-graph path differ"
+                );
+            }
+        }
+    }
+}
+
+/// The d-D twin of the test above, with the explicit `G(M)` of
+/// [`AccessGraphD`] as the oracle: for every pair, every block of
+/// `BuschD`'s chain is a block of the graph, consecutive blocks nest,
+/// and the peak (the largest block) holds both ends.
+#[test]
+fn buschd_chain_blocks_are_access_graph_d_blocks() {
+    for (d, k) in [(3usize, 2u32), (2, 3)] {
+        let decomp = DecompD::new(d, k);
+        let graph = AccessGraphD::build(&decomp);
+        let blocks: std::collections::HashSet<Submesh> =
+            graph.nodes().map(|v| graph.block(v).submesh).collect();
+        let mesh = decomp.mesh();
+        let router = BuschD::new(mesh.clone());
+        let coords: Vec<Coord> = mesh.coords().collect();
+        for s in &coords {
+            for t in &coords {
+                if s == t {
+                    continue;
+                }
+                let chain = router.chain(s, t);
+                for b in &chain {
+                    assert!(
+                        blocks.contains(b),
+                        "d={d} k={k} {s:?}->{t:?}: {b:?} is not a block of G(M)"
+                    );
+                }
+                for w in chain.windows(2) {
+                    assert!(
+                        w[0].contains_submesh(&w[1]) || w[1].contains_submesh(&w[0]),
+                        "d={d} k={k} {s:?}->{t:?}: {:?} and {:?} do not nest",
+                        w[0],
+                        w[1]
+                    );
+                }
+                let peak = chain.iter().max_by_key(|b| b.node_count()).unwrap();
+                assert!(
+                    peak.contains(s) && peak.contains(t),
+                    "d={d} k={k} {s:?}->{t:?}: peak {peak:?} misses an end"
                 );
             }
         }
