@@ -11,10 +11,11 @@
 //! (`Θ(√n)` vs `O(C* log n)` on 2-D transpose).
 
 use crate::baselines::two_legs;
-use crate::chain::{self, Blocks, Walker};
+use crate::chain::{self, Walker};
 use crate::randbits::BitMeter;
 use crate::router::{IdBatch, ObliviousRouter, PathQuery, RoutedPath};
-use oblivion_mesh::{Coord, Mesh, Submesh};
+use crate::subpath::Grid;
+use oblivion_mesh::{with_dim, Coord, IntBox, Mesh};
 use rand::RngCore;
 
 /// Two-phase minimal oblivious routing through a random way-point of the
@@ -55,34 +56,39 @@ impl ObliviousRouter for Romm {
     }
 
     fn select_path(&self, s: &Coord, t: &Coord, rng: &mut dyn RngCore) -> RoutedPath {
-        chain::select_path(self, s, t, rng)
+        with_dim!(self.mesh.dim(), D => chain::select_path::<D, _>(self, s, t, rng))
     }
 
     fn route_ids(&self, queries: &[PathQuery], out: &mut IdBatch) {
-        chain::route_ids(self, queries, out)
+        with_dim!(self.mesh.dim(), D => chain::route_ids::<D, _>(self, queries, out))
     }
 }
 
-impl Walker for Romm {
+impl<const D: usize> Walker<D> for Romm {
     fn cuts_cycles(&self) -> bool {
         false
     }
 
     fn walk(
         &self,
-        s: &Coord,
-        t: &Coord,
-        _blocks: &mut Blocks,
+        grid: &Grid<D>,
+        s: &[u32; D],
+        t: &[u32; D],
         meter: &mut BitMeter<'_>,
-        walk: &mut Vec<u32>,
+        out: &mut Vec<u32>,
     ) {
-        two_legs(&self.mesh, s, t, &Submesh::bounding_box(s, t), meter, walk);
+        let bbox = IntBox {
+            lo: std::array::from_fn(|i| s[i].min(t[i])),
+            hi: std::array::from_fn(|i| s[i].max(t[i])),
+        };
+        two_legs(grid, s, t, &bbox, meter, out);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use oblivion_mesh::Submesh;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 

@@ -12,10 +12,13 @@
 //!   used to verify the structural lemmas and to drive examples;
 //! * [`render`] — ASCII renderings reproducing the paper's Figures 1 and 2.
 //!
-//! The routers in `oblivion-core` use the *implicit* navigation
-//! ([`Decomp2::type1_block`], [`DecompD::block`], …), which is `O(d)` per
-//! hierarchy step and allocation-free, so the decomposition never has to be
-//! materialized for routing.
+//! The routers in `oblivion-core` use the *implicit* navigation in
+//! integer boxes ([`Decomp2::ancestor_box`], [`DecompD::bridge_box`],
+//! [`TorusDecomp::bridge_box`]): shifts and masks on `[u32; D]` corners,
+//! `O(d)` per hierarchy step and allocation-free, so the decomposition
+//! never has to be materialized for routing. The `Submesh`-returning
+//! lookups ([`Decomp2::type1_block`], [`DecompD::block`], …) are
+//! conversions of the same boxes.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -29,6 +32,10 @@ mod two_d;
 
 pub use access_graph::{AccessGraph, AgNode};
 pub use access_graph_d::{AccessGraphD, AgdNode, BlockD};
-pub use d_dim::{BridgePlan, DecompD};
+pub use d_dim::{BoxBridge, BridgePlan, DecompD};
 pub use torus::{TorusBlock, TorusBridgePlan, TorusDecomp};
 pub use two_d::{Block2D, BlockType2D, Decomp2};
+
+/// The largest exponent `k` a decomposition accepts (side `2^k`). A
+/// bitonic chain holds at most `2k + 3` blocks.
+pub const MAX_K: u32 = 20;

@@ -9,7 +9,8 @@
 //! theory (several invariants that hold "up to border effects" on the mesh
 //! hold exactly here) and because tori are real interconnects.
 
-use oblivion_mesh::{Coord, Mesh, Submesh};
+use crate::{BoxBridge, MAX_K};
+use oblivion_mesh::{with_dim, Coord, IntBox, Mesh, Submesh};
 
 /// A (possibly wrapping) cube of the `(2^k)^d` torus: anchor plus equal
 /// side per axis, coordinates taken modulo the torus side.
@@ -86,17 +87,6 @@ impl TorusBlock {
                 off < self.side && off + (other.side - 1) < self.side
             })
     }
-
-    /// The node at the given per-axis offsets from the anchor.
-    pub fn node_at_offset(&self, offsets: &[u32]) -> Coord {
-        debug_assert_eq!(offsets.len(), self.anchor.dim());
-        let mut c = self.anchor;
-        for i in 0..c.dim() {
-            debug_assert!(offsets[i] < self.side);
-            c[i] = (c[i] + offsets[i]) % self.modulus;
-        }
-        c
-    }
 }
 
 /// The diagonal-shift hierarchical decomposition of the `(2^k)^d` torus.
@@ -146,7 +136,7 @@ impl TorusDecomp {
     /// Decomposition of the `d`-dimensional torus with equal sides `2^k`.
     pub fn new(d: usize, k: u32) -> Self {
         assert!((1..=oblivion_mesh::MAX_DIM).contains(&d));
-        assert!(k <= 20);
+        assert!(k <= MAX_K);
         let tau = (d as u32 + 1).next_power_of_two();
         Self { d, k, tau }
     }
@@ -198,17 +188,41 @@ impl TorusDecomp {
     /// The type-`j` block at `level` containing `c`.
     pub fn block(&self, level: u32, j: u32, c: &Coord) -> TorusBlock {
         debug_assert_eq!(c.dim(), self.d);
+        with_dim!(self.d, D => self.to_block(&self.block_box::<D>(level, j, &c.to_array())))
+    }
+
+    /// [`Self::block`] as a box whose `lo` is the anchor and whose `hi`
+    /// is `lo + m_l − 1`, not reduced. The side is a power of two, so the
+    /// offset from the shifted grid and the anchor's reduction are masks.
+    #[inline]
+    pub fn block_box<const D: usize>(&self, level: u32, j: u32, c: &[u32; D]) -> IntBox<D> {
         debug_assert!(j >= 1 && j <= self.num_types(level));
         let m_l = self.block_side(level);
         let sigma = (j - 1) * self.lambda(level);
-        let side = self.side();
-        let mut anchor = Coord::origin(self.d);
-        for i in 0..self.d {
-            // Offset of c from the shifted grid origin, snapped down.
-            let rel = (c[i] + side - sigma % side) % side;
-            anchor[i] = (rel / m_l * m_l + sigma) % side;
+        let wrap = self.side() - 1;
+        let lo = c.map(|x| ((x.wrapping_sub(sigma) & wrap & !(m_l - 1)) + sigma) & wrap);
+        IntBox {
+            lo,
+            hi: lo.map(|a| a + m_l - 1),
         }
-        TorusBlock::new(anchor, m_l, side)
+    }
+
+    /// The torus block of a box made by [`Self::block_box`].
+    fn to_block<const D: usize>(&self, b: &IntBox<D>) -> TorusBlock {
+        TorusBlock::new(Coord::new(&b.lo), b.side(0), self.side())
+    }
+
+    /// True if the wrapping box `inner` lies inside the wrapping box
+    /// `outer` (both cubes, as [`Self::block_box`] makes them).
+    #[inline]
+    fn box_contains<const D: usize>(&self, outer: &IntBox<D>, inner: &IntBox<D>) -> bool {
+        let wrap = self.side() - 1;
+        let (big, small) = (outer.side(0), inner.side(0));
+        small <= big
+            && (0..D).all(|i| {
+                let off = inner.lo[i].wrapping_sub(outer.lo[i]) & wrap;
+                off < big && off + (small - 1) < big
+            })
     }
 
     /// The aligned type-1 block at `level` containing `c`.
@@ -230,47 +244,62 @@ impl TorusDecomp {
     pub fn find_bridge(&self, mesh: &Mesh, s: &Coord, t: &Coord) -> TorusBridgePlan {
         let dist = mesh.dist(s, t);
         assert!(dist > 0);
+        with_dim!(self.d, D => {
+            let (s, t) = (s.to_array::<D>(), t.to_array::<D>());
+            let b = self.bridge_box(&s, &t, dist);
+            TorusBridgePlan {
+                h_hat: b.h_hat,
+                m1: self.to_block(&IntBox::aligned(&s, b.h_hat)),
+                bridge: self.to_block(&b.bridge),
+                bridge_height: b.height,
+                bridge_type: b.shift_type,
+                m3: self.to_block(&IntBox::aligned(&t, b.h_hat)),
+            }
+        })
+    }
+
+    /// [`Self::find_bridge`] as wrapping boxes, for endpoints at torus
+    /// distance `dist ≥ 1`.
+    pub fn bridge_box<const D: usize>(
+        &self,
+        s: &[u32; D],
+        t: &[u32; D],
+        dist: u64,
+    ) -> BoxBridge<D> {
         let h_hat = self.h_hat(dist);
-        let lvl_hat = self.k - h_hat;
-        let m1 = self.type1_block(lvl_hat, s);
-        let m3 = self.type1_block(lvl_hat, t);
+        let m1 = IntBox::aligned(s, h_hat);
+        let m3 = IntBox::aligned(t, h_hat);
         if m1 == m3 {
-            return TorusBridgePlan {
+            return BoxBridge {
                 h_hat,
-                m1,
                 bridge: m1,
-                bridge_height: h_hat,
-                bridge_type: 1,
-                m3,
+                height: h_hat,
+                shift_type: 1,
             };
         }
-        let min_side = u64::from(self.block_side(lvl_hat)) * 2;
+        let min_side = 2u32 << h_hat;
         for height in (h_hat + 1)..=self.k {
             let level = self.k - height;
-            if u64::from(self.block_side(level)) < min_side {
+            if self.block_side(level) < min_side {
                 continue;
             }
             for j in 1..=self.num_types(level) {
-                let b = self.block(level, j, s);
-                if b.contains_block(&m1) && b.contains_block(&m3) {
-                    return TorusBridgePlan {
+                let b = self.block_box(level, j, s);
+                if self.box_contains(&b, &m1) && self.box_contains(&b, &m3) {
+                    return BoxBridge {
                         h_hat,
-                        m1,
                         bridge: b,
-                        bridge_height: height,
-                        bridge_type: j,
-                        m3,
+                        height,
+                        shift_type: j,
                     };
                 }
             }
         }
-        TorusBridgePlan {
+        BoxBridge {
             h_hat,
-            m1,
-            bridge: TorusBlock::new(Coord::origin(self.d), self.side(), self.side()),
-            bridge_height: self.k,
-            bridge_type: 1,
-            m3,
+            bridge: IntBox::cube(self.side()),
+            height: self.k,
+            shift_type: 1,
         }
     }
 

@@ -17,7 +17,8 @@
 //! share a regular submesh of height at most `⌈log₂ ℓ⌉ + 2` (Lemma 3.3),
 //! which is what bounds the stretch of the bitonic routing paths.
 
-use oblivion_mesh::{Coord, Mesh, Submesh};
+use crate::MAX_K;
+use oblivion_mesh::{Coord, IntBox, Mesh, Submesh};
 
 /// Which decomposition family a regular submesh belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -65,7 +66,7 @@ impl Decomp2 {
     /// # Panics
     /// Panics if `2^k` overflows `u32` (`k > 31`).
     pub fn new(k: u32) -> Self {
-        assert!(k <= 20, "side 2^{k} is unreasonably large");
+        assert!(k <= MAX_K, "side 2^{k} is unreasonably large");
         Self { k }
     }
 
@@ -108,16 +109,7 @@ impl Decomp2 {
 
     /// The type-1 block at `level` containing `c`.
     pub fn type1_block(&self, level: u32, c: &Coord) -> Submesh {
-        debug_assert_eq!(c.dim(), 2);
-        let shift = self.k - level;
-        let mut lo = Coord::origin(2);
-        let mut hi = Coord::origin(2);
-        for i in 0..2 {
-            let a = (c[i] >> shift) << shift;
-            lo[i] = a;
-            hi[i] = a + (1 << shift) - 1;
-        }
-        Submesh::new(lo, hi)
+        IntBox::aligned(&c.to_array::<2>(), self.k - level).to_submesh()
     }
 
     /// The type-2 block at `level` containing `c`, if any.
@@ -125,31 +117,30 @@ impl Decomp2 {
     /// Returns `None` when the level carries no type-2 blocks (`l = 0` or
     /// `l ≥ k`) or when `c` falls in a discarded corner block.
     pub fn type2_block(&self, level: u32, c: &Coord) -> Option<Submesh> {
-        debug_assert_eq!(c.dim(), 2);
         if level == 0 || level >= self.k {
             return None;
         }
-        let m_l = i64::from(self.block_side(level));
-        let half = m_l / 2;
-        let side = i64::from(self.side());
-        let mut lo = Coord::origin(2);
-        let mut hi = Coord::origin(2);
-        let mut clipped = [false; 2];
-        for i in 0..2 {
-            let x = i64::from(c[i]);
-            // Shifted anchors sit at -half + j * m_l for j = 0 ..= 2^l.
-            let j = (x + half).div_euclid(m_l);
-            let a = -half + j * m_l;
-            let b = a + m_l - 1;
-            clipped[i] = a < 0 || b >= side;
-            lo[i] = a.max(0) as u32;
-            hi[i] = b.min(side - 1) as u32;
-        }
-        if clipped[0] && clipped[1] {
+        self.type2_box(self.k - level, &c.to_array())
+            .map(|b| b.to_submesh())
+    }
+
+    /// The type-2 block of height `1 ≤ h < k` containing `c`, if `c` is
+    /// not in a discarded corner. Shifted anchors sit at `j·2^h − 2^{h−1}`,
+    /// so `c`'s block index on an axis is `(x + 2^{h−1}) >> h`; index 0
+    /// and the last index are the clipped border blocks.
+    #[inline]
+    fn type2_box(&self, h: u32, c: &[u32; 2]) -> Option<IntBox<2>> {
+        let half = 1u32 << (h - 1);
+        let last = self.side() >> h;
+        let j = c.map(|x| (x + half) >> h);
+        if j.iter().all(|&j| j == 0 || j == last) {
             // Corner block: discarded (it equals a type-1 block at level l+1).
             return None;
         }
-        Some(Submesh::new(lo, hi))
+        Some(IntBox {
+            lo: j.map(|j| (j << h).saturating_sub(half)),
+            hi: j.map(|j| ((j << h) + half - 1).min(self.side() - 1)),
+        })
     }
 
     /// All type-1 blocks at a level, row-major by anchor.
@@ -219,42 +210,38 @@ impl Decomp2 {
     /// Returns the block and its *height* `k - level`. By Lemma 3.3 the
     /// height is at most `⌈log₂ dist(s,t)⌉ + 2`.
     pub fn deepest_common_ancestor(&self, s: &Coord, t: &Coord) -> (Block2D, u32) {
+        let (b, height, kind) = self.ancestor_box(&s.to_array(), &t.to_array());
+        let block = Block2D {
+            submesh: b.to_submesh(),
+            level: self.k - height,
+            kind,
+        };
+        (block, height)
+    }
+
+    /// [`Self::deepest_common_ancestor`] as a box: the block, its height
+    /// and its type. A block of height `h` holds both nodes when their
+    /// block indices agree on both axes: `x >> h` for type-1 and
+    /// `(x + 2^{h−1}) >> h` for type-2, so each test is a shift and a
+    /// compare.
+    pub fn ancestor_box(&self, s: &[u32; 2], t: &[u32; 2]) -> (IntBox<2>, u32, BlockType2D) {
         debug_assert_ne!(s, t, "DCA of a node with itself is the leaf");
-        for height in 1..=self.k {
-            let level = self.k - height;
-            let b1 = self.type1_block(level, s);
-            if b1.contains(t) {
-                return (
-                    Block2D {
-                        submesh: b1,
-                        level,
-                        kind: BlockType2D::Type1,
-                    },
-                    height,
-                );
+        for h in 1..=self.k {
+            if (s[0] ^ t[0]) >> h == 0 && (s[1] ^ t[1]) >> h == 0 {
+                return (IntBox::aligned(s, h), h, BlockType2D::Type1);
             }
-            if let Some(b2) = self.type2_block(level, s) {
-                if b2.contains(t) {
-                    return (
-                        Block2D {
-                            submesh: b2,
-                            level,
-                            kind: BlockType2D::Type2,
-                        },
-                        height,
-                    );
+            if h < self.k {
+                let half = 1u32 << (h - 1);
+                let apart = |i: usize| ((s[i] + half) ^ (t[i] + half)) >> h;
+                if apart(0) == 0 && apart(1) == 0 {
+                    if let Some(b) = self.type2_box(h, s) {
+                        return (b, h, BlockType2D::Type2);
+                    }
                 }
             }
         }
         // Level 0: the whole mesh, guaranteed ancestor (Lemma 3.2).
-        (
-            Block2D {
-                submesh: self.type1_block(0, s),
-                level: 0,
-                kind: BlockType2D::Type1,
-            },
-            self.k,
-        )
+        (IntBox::cube(self.side()), self.k, BlockType2D::Type1)
     }
 
     /// The mesh this decomposition describes.

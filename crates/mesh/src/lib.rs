@@ -11,6 +11,8 @@
 //!   distances, and (optionally) torus wrap-around links;
 //! * [`Submesh`] — axis-aligned boxes `M' ⊆ M` with the boundary-link count
 //!   `out(M')` used by the boundary-congestion bound;
+//! * [`IntBox`] — the route kernel's compact box, `[u32; D]` corners with
+//!   `D` a const generic, picked per query by [`with_dim!`];
 //! * [`Path`] — validated walks with length, stretch, and cycle removal;
 //! * [`decode_ids`] — the running decoder of a walk given as `u32` node
 //!   ids, the route kernel's form of a path.
@@ -22,12 +24,14 @@
 #![warn(missing_docs)]
 
 mod coord;
+mod ibox;
 mod ids;
 mod mesh;
 mod path;
 mod submesh;
 
 pub use coord::{Coord, MAX_DIM};
+pub use ibox::{dimension_out_of_range, IntBox};
 pub use ids::{decode_ids, MAX_ID_WALK_NODES};
 pub use mesh::{EdgeId, Mesh, NodeId, Topology};
 pub use path::{CycleKey, CycleTable, Path};

@@ -221,12 +221,15 @@ timed_retry "metrics gate (METRICS scrape + top --check + flusher/report diff)" 
 # Id-walk geometries live: the server writes every reply from node ids,
 # so a torus (wrap hops) and a rectangle (unequal strides) must each
 # serve a pipelined loadgen with no failed and no malformed reply (the
-# loadgen checks every hop's adjacency on the mesh it is given).
+# loadgen checks every hop's adjacency on the mesh it is given). The
+# route kernel is compiled once per mesh dimension, so the 3-D and 4-D
+# legs run those instantiations on the live binary too.
 id_walk_serve_gate() {
   cargo build --offline --quiet --bin oblivion
   local bin=target/debug/oblivion
   local leg router spec torus tmp port pid up
-  for leg in "busch-torus 16x16 --torus" "busch-padded 12x20"; do
+  for leg in "busch-torus 16x16 --torus" "busch-padded 12x20" \
+    "buschd 4x4x4x4" "busch-torus 8x8x8 --torus" "busch-padded 5x6x7"; do
     read -r router spec torus <<< "$leg"
     tmp=$(mktemp -d)
     pid=""
@@ -280,7 +283,7 @@ id_walk_serve_gate() {
   done
 }
 
-timed_retry "id-walk serve gate (busch-torus 16x16, busch-padded 12x20 under loadgen)" \
+timed_retry "id-walk serve gate (busch-torus 16x16 and 8x8x8, busch-padded 12x20 and 5x6x7, buschd 4x4x4x4 under loadgen)" \
   id_walk_serve_gate
 
 # Straggler resilience: a daemon with deterministic chaos injection
